@@ -36,11 +36,11 @@ func BenchmarkBatchMultiply(b *testing.B) {
 		for _, bs := range []int{1, 2, 8} {
 			b.Run(fmt.Sprintf("%s/batch=%d", arm.name, bs), func(b *testing.B) {
 				eng := core.NewMultiplier(a, core.Options{Threads: benchThreads, SortOutput: true})
-				ys := bench.ReplayScratch(arm.batches)
-				bench.ReplayBatches(eng, arm.batches, bs, ys) // warmup: sizes pooled buffers
+				xs, ys := bench.ReplayScratch(arm.batches)
+				bench.ReplayBatches(eng, xs, bs, ys) // warmup: sizes pooled buffers
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					bench.ReplayBatches(eng, arm.batches, bs, ys)
+					bench.ReplayBatches(eng, xs, bs, ys)
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/frontier")
@@ -54,7 +54,7 @@ func BenchmarkBatchMultiply(b *testing.B) {
 // facade's bucket engine.
 func BenchmarkMultiBFS(b *testing.B) {
 	a, _, _ := fixtures()
-	mu := spmspv.New(a, spmspv.Options{Threads: benchThreads, SortOutput: true})
+	mu := newMult(b, a, spmspv.Bucket, spmspv.Options{Threads: benchThreads, SortOutput: true})
 	sources := spmspv.SpreadSources(a.NumCols, 0, 8)
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -24,7 +24,8 @@ import (
 func BenchmarkConcurrentMultiply(b *testing.B) {
 	a, frontiers, _ := fixtures()
 	x := bestFrontier(frontiers, 1<<11)
-	mu := spmspv.New(a, spmspv.Options{Threads: 1, SortOutput: true})
+	mu := newMult(b, a, spmspv.Bucket, spmspv.Options{Threads: 1, SortOutput: true})
+	list := spmspv.Desc{Output: spmspv.OutputList}
 	for _, gs := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("goroutines=%d", gs), func(b *testing.B) {
 			var wg sync.WaitGroup
@@ -34,12 +35,12 @@ func BenchmarkConcurrentMultiply(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					y := sparse.NewSpVec(0, 0)
+					xf, yf := spmspv.NewFrontier(x), mu.NewOutputFrontier()
 					// Claim exactly b.N iterations across the goroutines
 					// so ns/op is wall-clock per multiply at this
 					// concurrency level.
 					for atomic.AddInt64(&next, 1) <= int64(b.N) {
-						mu.MultiplyInto(x, y, spmspv.Arithmetic)
+						mu.Mult(xf, yf, spmspv.Arithmetic, list)
 					}
 				}()
 			}
@@ -104,12 +105,12 @@ func BenchmarkSemiringDispatch(b *testing.B) {
 		{"combblas-spa", spmspv.CombBLASSPA},
 		{"graphmat", spmspv.GraphMat},
 	} {
-		mu := spmspv.NewWithAlgorithm(a, eng.alg, spmspv.Options{Threads: benchThreads, SortOutput: true})
+		mu := newMult(b, a, eng.alg, spmspv.Options{Threads: benchThreads, SortOutput: true})
 		for _, v := range semirings {
 			b.Run(eng.name+"/"+v.name, func(b *testing.B) {
-				y := sparse.NewSpVec(0, 0)
+				xf, yf := spmspv.NewFrontier(x), mu.NewOutputFrontier()
 				for i := 0; i < b.N; i++ {
-					mu.MultiplyInto(x, y, v.sr)
+					mu.Mult(xf, yf, v.sr, spmspv.Desc{Output: spmspv.OutputList})
 				}
 			})
 		}

@@ -59,12 +59,12 @@ func reportWork(b *testing.B, eng bench.Engine, calls int) {
 // benchMultiply times one engine on one frontier.
 func benchMultiply(b *testing.B, spec bench.EngineSpec, a *sparse.CSC, x *sparse.SpVec, threads int) {
 	eng := spec.Build(a, threads)
-	y := sparse.NewSpVec(0, 0)
-	eng.Multiply(x, y, semiring.Arithmetic)
+	mult := bench.ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
+	mult(x, semiring.Arithmetic)
 	eng.ResetCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Multiply(x, y, semiring.Arithmetic)
+		mult(x, semiring.Arithmetic)
 	}
 	b.StopTimer()
 	reportWork(b, eng, 1)
@@ -126,15 +126,15 @@ func BenchmarkFig4(b *testing.B) {
 				name := fmt.Sprintf("%s/t=%d/%s", gname, threads, spec.Name)
 				b.Run(name, func(b *testing.B) {
 					eng := spec.Build(a, threads)
-					y := sparse.NewSpVec(0, 0)
+					mult := bench.ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
 					for _, x := range frontiers {
-						eng.Multiply(x, y, semiring.MinSelect2nd)
+						mult(x, semiring.MinSelect2nd)
 					}
 					eng.ResetCounters()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						for _, x := range frontiers {
-							eng.Multiply(x, y, semiring.MinSelect2nd)
+							mult(x, semiring.MinSelect2nd)
 						}
 					}
 					b.StopTimer()
@@ -158,15 +158,15 @@ func BenchmarkFig5(b *testing.B) {
 			name := fmt.Sprintf("t=%d/%s", threads, spec.Name)
 			b.Run(name, func(b *testing.B) {
 				eng := spec.Build(a, threads)
-				y := sparse.NewSpVec(0, 0)
+				mult := bench.ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
 				for _, x := range frontiers {
-					eng.Multiply(x, y, semiring.MinSelect2nd)
+					mult(x, semiring.MinSelect2nd)
 				}
 				eng.ResetCounters()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, x := range frontiers {
-						eng.Multiply(x, y, semiring.MinSelect2nd)
+						mult(x, semiring.MinSelect2nd)
 					}
 				}
 				b.StopTimer()
@@ -185,12 +185,12 @@ func BenchmarkFig6(b *testing.B) {
 		x := bench.FrontierWithNNZ(frontiers, max(target, 1))
 		b.Run(fmt.Sprintf("nnzx=%d", x.NNZ()), func(b *testing.B) {
 			eng := core.NewMultiplier(a, core.Options{Threads: benchThreads, SortOutput: true})
-			y := sparse.NewSpVec(0, 0)
-			eng.Multiply(x, y, semiring.Arithmetic)
+			mult := bench.ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
+			mult(x, semiring.Arithmetic)
 			var estimate, bucket, merge, output float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Multiply(x, y, semiring.Arithmetic)
+				mult(x, semiring.Arithmetic)
 				s := eng.Steps()
 				estimate += float64(s.Estimate.Nanoseconds())
 				bucket += float64(s.Bucket.Nanoseconds())
@@ -276,20 +276,22 @@ func BenchmarkMasked(b *testing.B) {
 	}
 	mask.SetFrom(half)
 
+	xf := sparse.NewFrontier(x)
 	b.Run("pushdown", func(b *testing.B) {
 		eng := core.NewMultiplier(a, core.Options{Threads: benchThreads, SortOutput: true})
-		y := sparse.NewSpVec(0, 0)
+		yf := sparse.NewOutputFrontier(a.NumRows)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.MultiplyMasked(x, y, semiring.Arithmetic, mask, false)
+			eng.Multiply(xf, yf, semiring.Arithmetic, mask, false, false)
 		}
 	})
 	b.Run("post-filter", func(b *testing.B) {
 		eng := core.NewMultiplier(a, core.Options{Threads: benchThreads, SortOutput: true})
-		y := sparse.NewSpVec(0, 0)
+		yf := sparse.NewOutputFrontier(a.NumRows)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.Multiply(x, y, semiring.Arithmetic)
+			eng.Multiply(xf, yf, semiring.Arithmetic, nil, false, false)
+			y := yf.List()
 			w := 0
 			for k, ind := range y.Ind {
 				if mask.Test(ind) {
@@ -308,14 +310,14 @@ func BenchmarkMasked(b *testing.B) {
 func BenchmarkHybrid(b *testing.B) {
 	a, frontiers, _ := fixtures()
 	run := func(b *testing.B, eng bench.Engine) {
-		y := sparse.NewSpVec(0, 0)
+		mult := bench.ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
 		for _, x := range frontiers {
-			eng.Multiply(x, y, semiring.MinSelect2nd)
+			mult(x, semiring.MinSelect2nd)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, x := range frontiers {
-				eng.Multiply(x, y, semiring.MinSelect2nd)
+				mult(x, semiring.MinSelect2nd)
 			}
 		}
 	}

@@ -24,11 +24,12 @@
 //	spmspv-serve -addr :8090 -shards http://localhost:8091,http://localhost:8092
 //
 // Replication: each row band may be served by a group of identical
-// replicas. -replicas R folds the backend list into groups of R
-// consecutive backends; "|" inside the -shards URL list groups
-// replicas explicitly (and allows ragged groups):
+// replicas. With an integer -shards N, -replicas R builds R in-process
+// stores per band (N×R in all); with a -shards URL list, -replicas R
+// folds the list into groups of R consecutive backends, and "|" inside
+// the list groups replicas explicitly (and allows ragged groups):
 //
-//	spmspv-serve -addr :8090 -replicas 2 -shards 4           # 2 bands × 2 replicas, in-process
+//	spmspv-serve -addr :8090 -shards 2 -replicas 2           # 2 bands × 2 replicas, in-process
 //	spmspv-serve -addr :8090 -shards "http://a:1|http://a:2,http://b:1|http://b:2"
 //
 // Uploads fan every band's piece to all of its replicas; reads pick
@@ -114,7 +115,7 @@ func main() {
 		shardTimeout = flag.Duration("shard-timeout", 30*time.Second,
 			"per-attempt deadline for one shard call (coordinator mode, 0 disables)")
 		replicas = flag.Int("replicas", 1,
-			"replicas per row band: folds the -shards backend list into groups of this size (coordinator mode)")
+			"replicas per row band (coordinator mode): with an integer -shards N, each of the N bands gets this many in-process stores; with a -shards URL list, consecutive URLs fold into groups of this size")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second,
 			"background health-probe period against shard workers (coordinator mode, 0 disables probing)")
 		probeTimeout = flag.Duration("probe-timeout", 2*time.Second,

@@ -139,15 +139,16 @@ func TestMultDescMatrix(t *testing.T) {
 	}
 }
 
-// TestMultBatchNativeBitmaps pins the batch-output satellite: a
-// MultBatch through a batch-output engine (bucket, hybrid) leaves a
-// NATIVELY emitted bitmap on every slot — no slot's bitmap is lazy and
-// no output conversion ever runs, masked or not.
+// TestMultBatchNativeBitmaps pins native batch outputs: a MultBatch
+// through a bitmap-emitting engine — natively batched (bucket, hybrid)
+// or run through the shared loop helper (GraphMat) — leaves a NATIVELY
+// emitted bitmap on every slot — no slot's bitmap is lazy and no output
+// conversion ever runs, masked or not.
 func TestMultBatchNativeBitmaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	m := spmspv.Index(600)
 	a := testutil.RandomCSC(rng, m, m, 5)
-	for _, alg := range []spmspv.Algorithm{spmspv.Bucket, spmspv.Hybrid} {
+	for _, alg := range []spmspv.Algorithm{spmspv.Bucket, spmspv.Hybrid, spmspv.GraphMat} {
 		for _, masked := range []bool{false, true} {
 			mu, err := spmspv.NewMultiplier(a,
 				spmspv.WithAlgorithm(alg), spmspv.WithEngineOptions(engineOptions(2)))
@@ -191,8 +192,7 @@ func TestMultBatchNativeBitmaps(t *testing.T) {
 }
 
 // TestMultTranspose pins Desc.Transpose as the §II-A left
-// multiplication: identical to multiplying the explicit transpose, and
-// to the deprecated MultiplyLeft.
+// multiplication: identical to multiplying the explicit transpose.
 func TestMultTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := testutil.RandomCSC(rng, 200, 320, 4)
@@ -207,9 +207,6 @@ func TestMultTranspose(t *testing.T) {
 	mu.Mult(spmspv.NewFrontier(x), yf, spmspv.Arithmetic, spmspv.Desc{Transpose: true})
 	if !yf.List().EqualValues(want, 1e-9) {
 		t.Fatal("Mult with Transpose diverged from explicit-transpose oracle")
-	}
-	if legacy := mu.MultiplyLeft(x, spmspv.Arithmetic); !legacy.EqualValues(want, 1e-9) {
-		t.Fatal("MultiplyLeft diverged from Mult with Transpose")
 	}
 }
 
@@ -238,9 +235,9 @@ func TestMultSemiringByName(t *testing.T) {
 	}
 }
 
-// TestNewMultiplierErrors pins the constructor redesign: the functional-
-// options constructor reports failure where NewWithAlgorithm silently
-// fell back.
+// TestNewMultiplierErrors pins the constructor contract: an
+// unregistered algorithm or a nil matrix is an error, never a silent
+// fallback to another engine.
 func TestNewMultiplierErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	a := testutil.RandomCSC(rng, 50, 50, 3)

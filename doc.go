@@ -53,25 +53,12 @@
 // accumulate switch, the transpose (§II-A left multiplication), the
 // requested output representation, the batch width and the semiring
 // name; MultBatch is the same call over a batch with per-slot masks.
-// The legacy Multiply* methods remain as thin deprecated wrappers:
 //
-//	Multiply(x, sr) / MultiplyInto(x, y, sr)   →  Mult(xf, yf, sr, Desc{})
-//	MultiplyMasked(x, y, sr, mask, comp)       →  Mult(xf, yf, sr, Desc{Mask: mask, Complement: comp})
-//	MultiplyFrontier(xf, yf, sr)               →  Mult(xf, yf, sr, Desc{})
-//	MultiplyFrontierMasked(xf, yf, sr, m, c)   →  Mult(xf, yf, sr, Desc{Mask: m, Complement: c})
-//	MultiplyFrontierInto(xf, y, sr)            →  Mult(xf, yf, sr, Desc{Output: OutputList})
-//	MultiplyLeft(x, sr)                        →  Mult(xf, yf, sr, Desc{Transpose: true})
-//	MultiplyAccum/MultiplyAccumInto            →  Mult(xf, yf, sr, Desc{Accum: true}) (yf's prior contents accumulate)
-//	MultiplyBatch(xs, ys, sr)                  →  MultBatch(xfs, yfs, sr, Desc{})
-//	MultiplyBatchInto (ROADMAP item)           →  MultBatch(xfs, yfs, sr, Desc{}) — slot bitmaps now emitted natively
-//
-// Capability negotiation is compiled, not repeated: the Multiplier
-// caches one execution plan per descriptor shape (mask? accum? output
-// representation?), resolving the optional engine interfaces once, so
-// steady-state Mult calls perform no type assertions — within noise of
-// the specialized legacy methods. Request/Response wrap a whole call
-// as JSON (Multiplier.Do executes one) — the wire contract the serving
-// layer speaks.
+// The Multiplier caches one execution plan per descriptor shape (mask?
+// accum? output representation?), so the shape handling around the
+// engine's multiply is resolved once, not per call. Request/Response
+// wrap a whole call as JSON (Multiplier.Do executes one) — the wire
+// contract the serving layer speaks.
 //
 // # Serving: Store, Server, Program, Client
 //
@@ -185,22 +172,25 @@
 //
 // # Architecture: the engine layer
 //
-// Every algorithm implements internal/engine.Engine — Multiply over a
-// semiring plus deterministic work counters — and registers a
-// constructor with the internal/engine registry from init (the
-// database/sql driver pattern), together with its short CLI aliases
-// (ParseAlgorithm and EngineNames both derive from the registry). The
-// public facade, the graph algorithms, the benchmark harness and the
-// commands all construct engines exclusively through that registry;
-// NewMultiplier(a, opts...) is the constructor — functional options,
-// an error (not a silent Bucket fallback) for unregistered algorithms
-// — and Algorithms lists what is registered.
+// Every algorithm implements internal/engine.Engine, one interface: a
+// single-call and a batch multiply (frontier in, frontier out, an
+// optional output mask, and a flag asking for the native output
+// bitmap) plus deterministic work counters. Engines without a native
+// batch path run their batches through one shared loop helper. Each
+// engine registers a constructor with the internal/engine registry
+// from init (the database/sql driver pattern), together with its short
+// CLI aliases (ParseAlgorithm and EngineNames both derive from the
+// registry). The public facade, the graph algorithms, the benchmark
+// harness and the commands all construct engines exclusively through
+// that registry; NewMultiplier(a, opts...) is the constructor —
+// functional options, an error for unregistered algorithms — and
+// Algorithms lists what is registered.
 //
 // # Concurrency contract
 //
 // A Multiplier (and every registry-constructed engine) is safe for
-// concurrent Multiply / MultiplyInto / MultiplyMasked / MultiplyLeft /
-// MultiplyAccumInto calls from any number of goroutines. Per-call
+// concurrent Mult / MultBatch calls — with any descriptor: masked,
+// accumulating, transposed — from any number of goroutines. Per-call
 // scratch state (the bucket workspace of §III-A, the baselines'
 // row-split SPAs, heaps and bitvectors) lives in a fixed array of
 // slot-pinned workspaces (internal/par.Slots): a caller claims the
@@ -210,9 +200,9 @@
 // slot. Callers beyond that spill to a sync.Pool fallback (slot -1),
 // so oversubscription degrades to pooled allocation instead of
 // blocking. Work counters are folded into one aggregate under a lock
-// when each call retires, and the transpose engine behind MultiplyLeft
-// is built exactly once. Parallelism also exists inside each call
-// (Options.Threads), so throughput can be scaled either way.
+// when each call retires, and the transpose engine behind
+// Desc.Transpose is built exactly once. Parallelism also exists inside
+// each call (Options.Threads), so throughput can be scaled either way.
 //
 // # Scheduler: the persistent work-stealing executor
 //
@@ -250,17 +240,18 @@
 // algorithms scan, or the O(n) bitmap GraphMat's matrix-driven loop
 // probes. A Frontier (NewFrontier) carries both, materializing the
 // bitmap lazily at most once and sharing it across consumers; feed it
-// through Multiplier.MultiplyFrontierInto and a bitmap-preferring
-// engine (GraphMat, the Hybrid engine's matrix-driven calls) skips its
-// per-call list→bitmap conversion whenever an earlier consumer already
-// paid for it. Conversions are pooled and counted
-// (Counters.FrontierConversions).
+// through Multiplier.Mult and a bitmap-preferring engine (GraphMat, the
+// Hybrid engine's matrix-driven calls) skips its per-call list→bitmap
+// conversion whenever an earlier consumer already paid for it.
+// Conversions are pooled and counted (Counters.FrontierConversions). A
+// loop that rebuilds a wrapped vector in place calls Frontier.SetList
+// before the rebuild, while the list still matches the bitmap built
+// from it; the stale bits are erased from that list.
 //
 // # Output frontiers and masked pipelines
 //
-// Outputs are symmetric with inputs: Multiplier.MultiplyFrontier (and
-// the masked MultiplyFrontierMasked) write the result into an output
-// Frontier —
+// Outputs are symmetric with inputs: Multiplier.Mult writes the result
+// into an output Frontier —
 //
 //	input Frontier ──> engine ──> output Frontier ──> next input ...
 //
@@ -274,10 +265,10 @@
 // (Counters.OutputConversions and FrontierOutputStats prove it). The
 // filtering pipelines (plain BFS, components) take the list-only path
 // instead, since their refine step would erase a native bitmap before
-// anything read it. Engines that only speak lists are wrapped
-// transparently; their output bitmap stays lazy. Every registered
-// engine also implements the masked extension (the §V output-mask
-// pushdown), so BFSMasked compares all six engines.
+// anything read it (Desc{Output: OutputList} tells the engine to skip
+// the bitmap). Engines that only speak lists leave their output bitmap
+// lazy. Every registered engine pushes the §V output mask into its own
+// merge step, so BFSMasked compares all six engines.
 //
 // # Batched multiplies and multi-source BFS
 //
@@ -286,7 +277,8 @@
 // checkout and merge scheduling across the batch — the per-frontier
 // marginal cost approaches the pure O(df) work term, which is what the
 // sparse ramp-up levels of a multi-source BFS are dominated by — while
-// engines without a native batch path run an equivalent loop; results
+// engines without a native batch path run the shared loop, which
+// still emits each slot's bitmap natively when the engine can; results
 // are always exactly those of the loop. The batched Step 3 emits every
 // slot's output bitmap natively (and per-slot masks push into the
 // batched merge), so MultiBFSMasked — one masked BFS per source, all

@@ -42,8 +42,8 @@ func main() {
 
 	sources := spmspv.SpreadSources(a.NumCols, 0, *k)
 
-	// Batched: all live frontiers of a level go through one
-	// MultiplyBatch call.
+	// Batched: all live frontiers of a level go through one batched
+	// multiply.
 	start := time.Now()
 	res := spmspv.MultiBFS(mu, sources)
 	batched := time.Since(start)

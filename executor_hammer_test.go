@@ -80,15 +80,16 @@ func TestSharedExecutorHammer(t *testing.T) {
 		if e%2 == 1 {
 			alg = spmspv.Hybrid
 		}
-		mu := spmspv.NewWithAlgorithm(a, alg, opt)
+		mu := newMult(t, a, alg, opt)
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(seed int) {
 				defer wg.Done()
 				y := spmspv.NewVector(0, 0)
+				yf := spmspv.NewFrontier(y)
 				for it := 0; it < iters; it++ {
 					tc := &cases[(seed+it)%len(cases)]
-					mu.MultiplyInto(tc.x, y, spmspv.Arithmetic)
+					mu.Mult(spmspv.NewFrontier(tc.x), yf, spmspv.Arithmetic, spmspv.Desc{Output: spmspv.OutputList})
 					if !y.EqualValues(tc.want, 1e-9) {
 						errs <- "direct multiply diverged from reference under shared executor"
 						return

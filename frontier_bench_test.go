@@ -17,8 +17,7 @@ import (
 func hybridForBench(b *testing.B, scale int) (*spmspv.Multiplier, *spmspv.Matrix) {
 	b.Helper()
 	a := spmspv.RMAT(spmspv.DefaultRMAT(scale), 3)
-	mu := spmspv.NewWithAlgorithm(a, spmspv.Hybrid,
-		spmspv.Options{SortOutput: true, HybridThreshold: 0.02})
+	mu := newMult(b, a, spmspv.Hybrid, spmspv.Options{SortOutput: true, HybridThreshold: 0.02})
 	return mu, a
 }
 
@@ -63,9 +62,14 @@ func BenchmarkBFSMaskedPreRefactorLoop(b *testing.B) {
 		x.Append(0, 0)
 		visited.SetFrom(x)
 		y := spmspv.NewVector(n, 0)
+		xf, yf := spmspv.NewFrontier(x), spmspv.NewFrontier(y)
+		d := spmspv.Desc{Mask: visited, Complement: true, Output: spmspv.OutputList}
 		for level := int32(1); x.NNZ() > 0; level++ {
 			levels++
-			mu.MultiplyMasked(x, y, spmspv.MinSelect2nd, visited, true)
+			mu.Mult(xf, yf, spmspv.MinSelect2nd, d)
+			// Drop x's bitmap before the list is rebuilt by hand, so a
+			// matrix-driven next level re-derives it from scratch.
+			xf.SetList(x)
 			x.Reset(n)
 			for k, v := range y.Ind {
 				levelOf[v] = level
@@ -99,13 +103,13 @@ func BenchmarkMultiplyMaskedEngines(b *testing.B) {
 	mask.SetFrom(sel)
 
 	for _, alg := range spmspv.Algorithms() {
-		mu := spmspv.NewWithAlgorithm(a, alg,
-			spmspv.Options{SortOutput: true, HybridThreshold: 0.25})
+		mu := newMult(b, a, alg, spmspv.Options{SortOutput: true, HybridThreshold: 0.25})
 		b.Run(alg.String(), func(b *testing.B) {
-			y := spmspv.NewVector(0, 0)
+			xf, yf := spmspv.NewFrontier(x), mu.NewOutputFrontier()
+			d := spmspv.Desc{Mask: mask, Complement: true, Output: spmspv.OutputList}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mu.MultiplyMasked(x, y, spmspv.MinSelect2nd, mask, true)
+				mu.Mult(xf, yf, spmspv.MinSelect2nd, d)
 			}
 		})
 	}
@@ -115,7 +119,7 @@ func BenchmarkMultiplyMaskedEngines(b *testing.B) {
 // against the per-seed loop it replaces.
 func BenchmarkMultiClusterBatch(b *testing.B) {
 	a := spmspv.RMAT(spmspv.DefaultRMAT(12), 9)
-	mu := spmspv.NewWithAlgorithm(a, spmspv.Bucket, spmspv.Options{SortOutput: true})
+	mu := newMult(b, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	seeds := spmspv.SpreadSources(a.NumCols, 1, 8)
 	opt := spmspv.ACLOptions{Epsilon: 1e-4}
 	b.Run("batched", func(b *testing.B) {

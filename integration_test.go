@@ -44,7 +44,7 @@ func TestIntegrationAllEnginesAllGraphsAllAlgorithms(t *testing.T) {
 		}
 		for _, alg := range algos {
 			name := fmt.Sprintf("%s/%s", gname, alg)
-			mu := spmspv.NewWithAlgorithm(g, alg, spmspv.Options{Threads: 3, SortOutput: true})
+			mu := newMult(t, g, alg, spmspv.Options{Threads: 3, SortOutput: true})
 
 			// BFS levels must match the oracle exactly.
 			res := spmspv.BFS(mu, 0)
@@ -74,7 +74,7 @@ func TestIntegrationAllEnginesAllGraphsAllAlgorithms(t *testing.T) {
 
 			// PageRank sums to 1.
 			pr := spmspv.PageRank(
-				spmspv.NewWithAlgorithm(spmspv.NormalizeColumns(g), alg,
+				newMult(t, spmspv.NormalizeColumns(g), alg,
 					spmspv.Options{Threads: 3, SortOutput: true}),
 				spmspv.PageRankOptions{})
 			var sum float64
@@ -89,7 +89,7 @@ func TestIntegrationAllEnginesAllGraphsAllAlgorithms(t *testing.T) {
 		// MIS once per graph with the default engine (engine-independent
 		// given the same random seed would require identical iteration
 		// order, so validity rather than equality is the invariant).
-		mu := spmspv.New(g, spmspv.Options{Threads: 3, SortOutput: true})
+		mu := newMult(t, g, spmspv.Bucket, spmspv.Options{Threads: 3, SortOutput: true})
 		inSet := spmspv.MaximalIndependentSet(mu, 123)
 		simple := spmspv.StripSelfLoops(g)
 		for v := spmspv.Index(0); v < simple.NumCols; v++ {
@@ -116,7 +116,7 @@ func TestIntegrationMatrixMarketPipeline(t *testing.T) {
 	x.Append(g.NumCols/2, 2)
 	x.Append(g.NumCols-1, 3)
 
-	before := spmspv.New(g, spmspv.Options{SortOutput: true}).Multiply(x, spmspv.Arithmetic)
+	before := mult(newMult(t, g, spmspv.Bucket, spmspv.Options{SortOutput: true}), x, spmspv.Arithmetic, spmspv.Desc{})
 
 	var buf bytes.Buffer
 	if err := spmspv.WriteMatrixMarket(&buf, g); err != nil {
@@ -126,7 +126,7 @@ func TestIntegrationMatrixMarketPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := spmspv.New(back, spmspv.Options{SortOutput: true}).Multiply(x, spmspv.Arithmetic)
+	after := mult(newMult(t, back, spmspv.Bucket, spmspv.Options{SortOutput: true}), x, spmspv.Arithmetic, spmspv.Desc{})
 	if !after.EqualValues(before, 0) {
 		t.Error("multiplication result changed across Matrix Market round trip")
 	}

@@ -16,13 +16,8 @@ import (
 )
 
 // Multiplier is the uniform engine contract of internal/engine: compute
-// y ← A·x over sr, where A was bound at construction time. All
-// registered implementations (internal/core.Multiplier and the
-// internal/baselines engines) satisfy it, and all of them are safe for
-// concurrent Multiply calls.
+// y ← ⟨A·x, mask⟩ over sr, where A was bound at construction time. All
+// registered implementations (internal/core.Multiplier, the
+// internal/baselines engines and internal/hybrid's engine) satisfy it,
+// and all of them are safe for concurrent calls.
 type Multiplier = engine.Engine
-
-// MaskedMultiplier is the optional extension contract for engines that
-// support mask pushdown (paper §V future work); internal/core.Multiplier
-// implements it.
-type MaskedMultiplier = engine.MaskedEngine

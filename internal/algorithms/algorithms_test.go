@@ -369,15 +369,13 @@ func TestNormalizeColumns(t *testing.T) {
 	}
 }
 
-// Interface conformance checks: every engine satisfies Multiplier and
-// the bucket engine additionally satisfies MaskedMultiplier.
+// Interface conformance checks: every engine satisfies Multiplier.
 var (
-	_ Multiplier       = (*core.Multiplier)(nil)
-	_ MaskedMultiplier = (*core.Multiplier)(nil)
-	_ Multiplier       = (*baselines.CombBLASSPA)(nil)
-	_ Multiplier       = (*baselines.CombBLASHeap)(nil)
-	_ Multiplier       = (*baselines.GraphMat)(nil)
-	_ Multiplier       = (*baselines.SortBased)(nil)
+	_ Multiplier = (*core.Multiplier)(nil)
+	_ Multiplier = (*baselines.CombBLASSPA)(nil)
+	_ Multiplier = (*baselines.CombBLASHeap)(nil)
+	_ Multiplier = (*baselines.GraphMat)(nil)
+	_ Multiplier = (*baselines.SortBased)(nil)
 )
 
 // Silence unused-import linting for perf (kept for documentation of the

@@ -60,9 +60,8 @@ func BFS(mult Multiplier, n sparse.Index, source sparse.Index, capture bool) *BF
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(n)
 
-	// One plan for the whole search: the list-output shape (the refine
-	// step below would erase a native bitmap), capability dispatch
-	// resolved once instead of per level.
+	// One plan for the whole search, in the list-output shape: the
+	// refine step below would erase a native bitmap.
 	d := engine.Desc{Output: engine.OutputList}
 	plan := engine.CompilePlan(mult, d.Shape())
 
@@ -91,9 +90,8 @@ func BFS(mult Multiplier, n sparse.Index, source sparse.Index, capture bool) *BF
 // BFSMasked is BFS with the visited-set filter pushed into the multiply
 // (mask complement semantics: visited vertices are excluded during the
 // merge step instead of being filtered afterwards) — the §V GraphBLAS
-// masking extension. Every registered engine runs it: engines without
-// native mask support fall back to multiply-then-filter inside
-// engine.MultiplyIntoMasked.
+// masking extension. Every registered engine runs it, each pushing the
+// mask into its own merge/accumulate step.
 //
 // The masked product needs no refine step — every entry is unvisited
 // by construction — so the pipeline keeps each level's output frontier
@@ -126,9 +124,7 @@ func BFSMasked(mult Multiplier, n sparse.Index, source sparse.Index) *BFSResult 
 	yf := sparse.NewOutputFrontier(n)
 
 	// One masked plan for the whole search: the complemented visited
-	// mask is the only per-level runtime argument; the capability
-	// dispatch (masked-output pushdown vs masked list vs filter) is
-	// compiled once.
+	// mask is the only per-level runtime argument.
 	d := engine.Desc{Mask: visited, Complement: true}
 	plan := engine.CompilePlan(mult, d.Shape())
 

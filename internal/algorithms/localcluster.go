@@ -146,10 +146,11 @@ func sweepCut(plan *engine.Plan, degrees []int64, totalVol int64, p map[sparse.I
 	for k, e := range order {
 		// Adding e.v: volume grows by deg; cut changes by (external −
 		// internal) edges of v, evaluated with one sparse column probe
-		// via SpMSpV on a singleton vector.
+		// via SpMSpV on a singleton vector. The previous probe's bitmap
+		// is dropped (SetList) before x is rebuilt in place.
+		xf.SetList(x)
 		x.Reset(n)
 		x.Append(e.v, 1)
-		xf.SetList(x)
 		plan.Mult(xf, yf, semiring.Arithmetic, engine.Desc{Output: engine.OutputList})
 		var internal int64
 		for _, u := range yf.List().Ind {

@@ -57,16 +57,19 @@ func MaximalMatching(mult, multT Multiplier, nr, nc sparse.Index) (rowMate, colM
 
 	for len(active) > 0 {
 		// Step 1: unmatched columns propose; y(i) = min proposing
-		// column for every unmatched row i.
+		// column for every unmatched row i. Both inputs are rebuilt in
+		// place each round, so each frontier first drops the bitmap a
+		// bitmap-reading engine built from the last round's list.
+		xf.SetList(x)
 		x.Reset(nc)
 		for _, j := range active {
 			x.Append(j, float64(j))
 		}
-		xf.SetList(x)
 		plan.Mult(xf, yf, semiring.MinSelect2nd, d)
 		y := yf.List()
 
 		// Step 2: unmatched rows accept their minimum proposer.
+		acceptf.SetList(accept)
 		accept.Reset(nr)
 		progress := false
 		for k, i := range y.Ind {
@@ -86,7 +89,6 @@ func MaximalMatching(mult, multT Multiplier, nr, nc sparse.Index) (rowMate, colM
 		// accepting row among its neighbors; matching (j, back(j)) is
 		// conflict-free because each row accepts at most one column and
 		// each column takes at most one row.
-		acceptf.SetList(accept)
 		planT.Mult(acceptf, backf, semiring.MinSelect2nd, d)
 		back := backf.List()
 		for k, j := range back.Ind {

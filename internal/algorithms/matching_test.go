@@ -43,10 +43,15 @@ func TestMatchingValidAndMaximalRandom(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		a := bipartite(t, rng, sh.nr, sh.nc, sh.edges)
-		mult, multT := matchingEngines(a)
-		rowMate, colMate := MaximalMatching(mult, multT, sh.nr, sh.nc)
-		if msg := ValidateMatching(a, rowMate, colMate); msg != "" {
-			t.Errorf("%dx%d: %s", sh.nr, sh.nc, msg)
+		// Every engine: both input vectors are rebuilt in place each
+		// round, so an engine reading a stale input bitmap would see
+		// proposals from columns matched in earlier rounds.
+		engs, engsT := allEngines(a, 4), allEngines(a.Transpose(), 4)
+		for name, mult := range engs {
+			rowMate, colMate := MaximalMatching(mult, engsT[name], sh.nr, sh.nc)
+			if msg := ValidateMatching(a, rowMate, colMate); msg != "" {
+				t.Errorf("%s %dx%d: %s", name, sh.nr, sh.nc, msg)
+			}
 		}
 	}
 }

@@ -38,8 +38,8 @@ type MultiBFSResult struct {
 
 // MultiBFS runs k breadth-first searches — one per source — in
 // lockstep, expanding all live frontiers of a level through ONE
-// batched SpMSpV call (engine.MultiplyBatch, which uses the engine's
-// native batch path when it has one and a loop of Multiply otherwise).
+// batched SpMSpV call (the engine's MultiplyBatch: its native batch
+// path when it has one, a loop of Multiply calls otherwise).
 // Each search uses the (min, select2nd) semiring exactly as BFS does;
 // the searches are independent — identical trees to running BFS k
 // times — but the batch amortizes the engine's per-call setup across

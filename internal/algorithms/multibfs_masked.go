@@ -12,9 +12,10 @@ import (
 // through one batched masked SpMSpV (engine.Desc.Masks carries one
 // complemented visited bitmap per slot), and because a masked product
 // needs no refine step, every output frontier is kept intact and fed
-// straight back as the slot's next input. With a batch-output engine
-// (bucket, hybrid) each slot's output bitmap is emitted natively by the
-// batched Step 3, so a direction-optimized multi-source pipeline — the
+// straight back as the slot's next input. With a bitmap-emitting
+// engine (bucket and hybrid natively batched, GraphMat through the
+// shared loop) each slot's output bitmap is emitted natively, so a
+// direction-optimized multi-source pipeline — the
 // hybrid engine routing each slot's dense levels to the matrix-driven
 // side — performs ZERO list→bitmap output conversions, exactly like
 // single-source BFSMasked.

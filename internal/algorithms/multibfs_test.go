@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"spmspv/internal/core"
+	"spmspv/internal/engine"
 	"spmspv/internal/graphgen"
+	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 )
 
@@ -62,8 +64,8 @@ func TestMultiBFSMatchesSingleSourceBFS(t *testing.T) {
 }
 
 // TestMultiBFSLoopEngine runs the same searches through an engine with
-// no native batch path (the loop fallback in engine.MultiplyBatch) via
-// an interface-stripped wrapper, checking the fallback's equivalence.
+// no native batch path (the shared engine.BatchLoop helper) via a
+// wrapper, checking the loop's equivalence to the native batch.
 func TestMultiBFSLoopEngine(t *testing.T) {
 	a := graphgen.RMAT(graphgen.DefaultRMAT(8), 4)
 	n := a.NumCols
@@ -82,6 +84,10 @@ func TestMultiBFSLoopEngine(t *testing.T) {
 	}
 }
 
-// stripBatch hides the engine's BatchEngine implementation, forcing
-// the generic loop fallback.
+// stripBatch replaces the engine's native batch path with the shared
+// loop helper, the batch path of engines without one.
 type stripBatch struct{ Multiplier }
+
+func (s stripBatch) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
+	engine.BatchLoop(s, xs, ys, sr, masks, complement, bitmap)
+}

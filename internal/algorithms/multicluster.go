@@ -10,12 +10,13 @@ import (
 
 // MultiCluster runs the ACL local-clustering push algorithm from k
 // seed vertices in lockstep, expanding every live seed's push frontier
-// of a round through ONE batched SpMSpV call (engine.MultiplyBatch —
-// the engine's native batch path when it has one, a Multiply loop
-// otherwise). The per-seed iterations are independent, so the results
-// are identical to running ACL once per seed; the batch amortizes the
-// engine's per-call setup across the seeds, which dominates exactly in
-// the small-frontier push rounds local clustering spends its time in.
+// of a round through ONE batched SpMSpV call (the engine's
+// MultiplyBatch — its native batch path when it has one, a Multiply
+// loop otherwise). The per-seed iterations are independent, so the
+// results are identical to running ACL once per seed; the batch
+// amortizes the engine's per-call setup across the seeds, which
+// dominates exactly in the small-frontier push rounds local clustering
+// spends its time in.
 // Seeds whose residuals all fall under the push threshold drop out of
 // the batch as they converge.
 //
@@ -41,7 +42,9 @@ func MultiCluster(mult Multiplier, degrees []int64, seeds []sparse.Index, opt AC
 	// live maps batch slot → state; converged seeds are compacted away.
 	// The push rounds run through one compiled list-output batch plan:
 	// each slot's gather rebuilds its input vector in place, so the
-	// wrapping frontier is re-pointed (SetList) before every round.
+	// wrapping frontier drops the bitmap a bitmap-reading engine built
+	// from the last round's list (SetList, while that list is intact)
+	// before the rebuild, and is re-pointed after it.
 	live := append([]*aclState(nil), states...)
 	xs := make([]*sparse.SpVec, len(live))
 	xfs := make([]*sparse.Frontier, len(live))
@@ -59,6 +62,7 @@ func MultiCluster(mult Multiplier, degrees []int64, seeds []sparse.Index, opt AC
 		// nothing to push.
 		w := 0
 		for q, st := range live {
+			xfs[q].SetList(xs[q])
 			xs[q].Reset(n)
 			if st.gather(xs[q], degrees, opt) {
 				live[w], xs[w] = st, xs[q]

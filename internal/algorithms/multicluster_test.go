@@ -7,6 +7,7 @@ import (
 	"spmspv/internal/core"
 	"spmspv/internal/engine"
 	"spmspv/internal/graphgen"
+	"spmspv/internal/hybrid"
 )
 
 // TestMultiClusterMatchesACLPerSeed pins the batched multi-seed
@@ -58,12 +59,12 @@ func TestMultiClusterMatchesACLPerSeed(t *testing.T) {
 	}
 }
 
-// TestMultiClusterThroughBatchEngine drives MultiCluster through the
-// engine registry's batch path (hybrid routes per density, bucket
-// shares one Estimate pass) and checks the seeds' PPR mass invariant
+// TestMultiClusterThroughRegistryBatch drives MultiCluster through a
+// registry-built engine's native batch path (bucket shares one
+// Estimate pass) and checks the seeds' PPR mass invariant
 // ‖p‖+‖r‖=1, which after convergence means ‖p‖ ≈ 1 up to the pushed-
 // residual tail.
-func TestMultiClusterThroughBatchEngine(t *testing.T) {
+func TestMultiClusterThroughRegistryBatch(t *testing.T) {
 	a := graphgen.RMAT(graphgen.DefaultRMAT(9), 23)
 	eng, err := engine.New(a, engine.Bucket, engine.Options{Threads: 2, SortOutput: true})
 	if err != nil {
@@ -82,6 +83,44 @@ func TestMultiClusterThroughBatchEngine(t *testing.T) {
 		}
 		if mass <= 0 || mass > 1+1e-9 {
 			t.Fatalf("seed %d: PPR mass %g outside (0,1]", seeds[s], mass)
+		}
+	}
+}
+
+// TestMultiClusterEveryEngine runs the batched push rounds and the
+// sweep cuts on every engine, including the bitmap-reading GraphMat and
+// a Hybrid pinned to its matrix-driven side, and pins each against the
+// bucket engine. Both loops rebuild their input vectors in place, so an
+// engine that read a stale input bitmap would push from vertices
+// drained in earlier rounds (breaking ‖p‖+‖r‖=1) and probe earlier
+// sweep vertices' neighborhoods (skewing every cut).
+func TestMultiClusterEveryEngine(t *testing.T) {
+	a := symmetrize(t, graphgen.RMAT(graphgen.DefaultRMAT(9), 29))
+	degrees := Degrees(a)
+	seeds := SpreadSources(a.NumCols, 3, 4)
+	opt := ACLOptions{Epsilon: 1e-4}
+	engines := allEngines(a, 2)
+	engines["hybrid-matrix"] = hybrid.NewWithThreshold(a, engine.Options{Threads: 2}, 0)
+	want := MultiCluster(engines["bucket"], degrees, seeds, opt)
+	for name, eng := range engines {
+		got := MultiCluster(eng, degrees, seeds, opt)
+		for s, seed := range seeds {
+			w, g := want[s], got[s]
+			if g.Rounds != w.Rounds {
+				t.Fatalf("%s seed %d: rounds %d, bucket %d", name, seed, g.Rounds, w.Rounds)
+			}
+			if len(g.PPR) != len(w.PPR) {
+				t.Fatalf("%s seed %d: PPR support %d, bucket %d", name, seed, len(g.PPR), len(w.PPR))
+			}
+			for v, mass := range w.PPR {
+				if math.Abs(g.PPR[v]-mass) > 1e-9 {
+					t.Fatalf("%s seed %d: PPR[%d] = %g, bucket %g", name, seed, v, g.PPR[v], mass)
+				}
+			}
+			if math.Abs(g.Conductance-w.Conductance) > 1e-9 || len(g.Cluster) != len(w.Cluster) {
+				t.Fatalf("%s seed %d: cluster of %d at conductance %g, bucket %d at %g",
+					name, seed, len(g.Cluster), g.Conductance, len(w.Cluster), w.Conductance)
+			}
 		}
 	}
 }

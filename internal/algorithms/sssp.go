@@ -36,9 +36,11 @@ func SSSP(mult Multiplier, n sparse.Index, source sparse.Index) []float64 {
 	plan := engine.CompilePlan(mult, d.Shape())
 
 	for x.NNZ() > 0 {
-		xf.SetList(x)
 		plan.Mult(xf, yf, semiring.MinPlus, d)
 		y := yf.List()
+		// Drop the bitmap a bitmap-reading engine built from this
+		// round's x before x is rebuilt in place.
+		xf.SetList(x)
 		x.Reset(n)
 		for k, i := range y.Ind {
 			if y.Val[k] < dist[i] {

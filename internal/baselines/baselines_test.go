@@ -4,22 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"spmspv/internal/perf"
+	enginepkg "spmspv/internal/engine"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
 )
 
-// engine is the common shape of all baseline multipliers.
-type engine interface {
-	Multiply(x, y *sparse.SpVec, sr semiring.Semiring)
-	Counters() perf.Counters
-	ResetCounters()
-	Name() string
-}
-
-func engines(a *sparse.CSC, t int) []engine {
-	return []engine{
+func engines(a *sparse.CSC, t int) []enginepkg.Engine {
+	return []enginepkg.Engine{
 		NewCombBLASSPA(a, t),
 		NewCombBLASHeap(a, t),
 		NewGraphMat(a, t),
@@ -47,7 +39,7 @@ func TestBaselinesMatchReference(t *testing.T) {
 				want := Reference(a, x, semiring.Arithmetic)
 				for _, eng := range engines(a, threads) {
 					y := sparse.NewSpVec(0, 0)
-					eng.Multiply(x, y, semiring.Arithmetic)
+					testutil.Multiply(eng, x, y, semiring.Arithmetic)
 					if !y.EqualValues(want, 1e-9) {
 						t.Fatalf("%s: %dx%d t=%d f=%d: mismatch vs reference",
 							eng.Name(), sh.m, sh.n, threads, f)
@@ -75,7 +67,7 @@ func TestBaselinesReuseAcrossCalls(t *testing.T) {
 		want := Reference(a, x, semiring.Arithmetic)
 		for _, eng := range engs {
 			y := sparse.NewSpVec(0, 0)
-			eng.Multiply(x, y, semiring.Arithmetic)
+			testutil.Multiply(eng, x, y, semiring.Arithmetic)
 			if !y.EqualValues(want, 1e-9) {
 				t.Fatalf("%s: trial %d: state leaked across calls", eng.Name(), trial)
 			}
@@ -94,7 +86,7 @@ func TestBaselinesSemirings(t *testing.T) {
 		want := Reference(a, x, sr)
 		for _, eng := range engines(a, 4) {
 			y := sparse.NewSpVec(0, 0)
-			eng.Multiply(x, y, sr)
+			testutil.Multiply(eng, x, y, sr)
 			if !y.EqualValues(want, 0) {
 				t.Errorf("%s over %s: mismatch vs reference", eng.Name(), sr.Name)
 			}
@@ -113,7 +105,7 @@ func TestCombBLASSPAWorkGrowsWithThreads(t *testing.T) {
 	scan := map[int]int64{}
 	for _, threads := range []int{1, 4} {
 		eng := NewCombBLASSPA(a, threads)
-		eng.Multiply(x, y, semiring.Arithmetic)
+		testutil.Multiply(eng, x, y, semiring.Arithmetic)
 		scan[threads] = eng.Counters().XScanned
 	}
 	if scan[4] != 4*scan[1] {
@@ -122,14 +114,14 @@ func TestCombBLASSPAWorkGrowsWithThreads(t *testing.T) {
 	}
 
 	eng := NewCombBLASSPA(a, 2)
-	eng.Multiply(x, y, semiring.Arithmetic)
+	testutil.Multiply(eng, x, y, semiring.Arithmetic)
 	if init := eng.Counters().SPAInit; init < int64(a.NumRows) {
 		t.Errorf("full-init SPA initialized %d slots, want ≥ m=%d", init, a.NumRows)
 	}
 	// The ablation switch removes the O(m) term.
 	eng.FullInit = false
 	eng.ResetCounters()
-	eng.Multiply(x, y, semiring.Arithmetic)
+	testutil.Multiply(eng, x, y, semiring.Arithmetic)
 	if init := eng.Counters().SPAInit; init >= int64(a.NumRows) {
 		t.Errorf("partial-init SPA initialized %d slots, want < m=%d", init, a.NumRows)
 	}
@@ -146,7 +138,7 @@ func TestGraphMatProbesAllColumns(t *testing.T) {
 	for _, f := range []int{1, 1000} {
 		eng := NewGraphMat(a, 2)
 		x := testutil.RandomVector(rng, 3000, f, true)
-		eng.Multiply(x, y, semiring.Arithmetic)
+		testutil.Multiply(eng, x, y, semiring.Arithmetic)
 		probes[f] = eng.Counters().ColumnsProbed
 	}
 	if probes[1] != probes[1000] {
@@ -164,7 +156,7 @@ func TestCombBLASHeapUsesHeap(t *testing.T) {
 	x := testutil.RandomVector(rng, 1000, 200, true)
 	y := sparse.NewSpVec(0, 0)
 	eng := NewCombBLASHeap(a, 2)
-	eng.Multiply(x, y, semiring.Arithmetic)
+	testutil.Multiply(eng, x, y, semiring.Arithmetic)
 	c := eng.Counters()
 	if c.HeapOps == 0 {
 		t.Error("heap algorithm recorded no heap operations")
@@ -181,7 +173,7 @@ func TestSortBasedSortsAllEntries(t *testing.T) {
 	x := testutil.RandomVector(rng, 1000, 200, true)
 	y := sparse.NewSpVec(0, 0)
 	eng := NewSortBased(a, 2)
-	eng.Multiply(x, y, semiring.Arithmetic)
+	testutil.Multiply(eng, x, y, semiring.Arithmetic)
 	c := eng.Counters()
 	if c.SortedElems != c.MatrixTouched {
 		t.Errorf("sort-based sorted %d elements, touched %d matrix entries — should sort all df",
@@ -195,7 +187,7 @@ func TestEmptyInput(t *testing.T) {
 	x := sparse.NewSpVec(100, 0)
 	for _, eng := range engines(a, 4) {
 		y := sparse.NewSpVec(0, 0)
-		eng.Multiply(x, y, semiring.Arithmetic)
+		testutil.Multiply(eng, x, y, semiring.Arithmetic)
 		if y.NNZ() != 0 || y.N != 100 {
 			t.Errorf("%s: empty x gave nnz=%d n=%d", eng.Name(), y.NNZ(), y.N)
 		}

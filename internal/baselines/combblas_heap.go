@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	enginepkg "spmspv/internal/engine"
 	"spmspv/internal/par"
 	"spmspv/internal/perf"
 	"spmspv/internal/semiring"
@@ -71,17 +72,19 @@ func (c *CombBLASHeap) retire(st *heapState, slot int) {
 	c.states.Put(st, slot)
 }
 
-// Multiply computes y ← A·x; the output is sorted (heap merging emits
-// rows in order).
-func (c *CombBLASHeap) Multiply(x, y *sparse.SpVec, sr semiring.Semiring) {
-	c.run(x, y, sr, nil, false)
+// Multiply computes y ← ⟨A·x, mask⟩ into the output frontier's list;
+// the output is sorted (heap merging emits rows in order) and its
+// bitmap is left lazy. The mask is tested in the heap-merge emit
+// callback, so masked rows never enter the per-piece output buffers
+// (see masked.go).
+func (c *CombBLASHeap) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, _ bool) {
+	c.run(x.List(), y.BeginOutput(), sr, mask, complement)
+	y.FinishOutput(false)
 }
 
-// MultiplyMasked computes y ← ⟨A·x, mask⟩ with the mask tested in the
-// heap-merge emit callback, so masked rows never enter the per-piece
-// output buffers (see masked.go).
-func (c *CombBLASHeap) MultiplyMasked(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	c.run(x, y, sr, mask, complement)
+// MultiplyBatch runs the batch as a loop of Multiply calls.
+func (c *CombBLASHeap) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
+	enginepkg.BatchLoop(c, xs, ys, sr, masks, complement, bitmap)
 }
 
 func (c *CombBLASHeap) run(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {

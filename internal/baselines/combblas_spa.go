@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	enginepkg "spmspv/internal/engine"
 	"spmspv/internal/par"
 	"spmspv/internal/perf"
 	"spmspv/internal/radix"
@@ -89,17 +90,19 @@ func (c *CombBLASSPA) retire(st *spaState, slot int) {
 	c.states.Put(st, slot)
 }
 
-// Multiply computes y ← A·x. The output is sorted (CombBLAS keeps its
-// vectors ordered, paper §IV-B).
-func (c *CombBLASSPA) Multiply(x, y *sparse.SpVec, sr semiring.Semiring) {
-	c.run(x, y, sr, nil, false)
+// Multiply computes y ← ⟨A·x, mask⟩ into the output frontier's list;
+// the output is sorted (CombBLAS keeps its vectors ordered, paper
+// §IV-B) and its bitmap is left lazy. Masked rows are dropped from each
+// piece's touched list before the per-piece sort and output copy (see
+// masked.go).
+func (c *CombBLASSPA) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, _ bool) {
+	c.run(x.List(), y.BeginOutput(), sr, mask, complement)
+	y.FinishOutput(false)
 }
 
-// MultiplyMasked computes y ← ⟨A·x, mask⟩ with masked rows dropped
-// from each piece's touched list before the per-piece sort and output
-// copy (see masked.go).
-func (c *CombBLASSPA) MultiplyMasked(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	c.run(x, y, sr, mask, complement)
+// MultiplyBatch runs the batch as a loop of Multiply calls.
+func (c *CombBLASSPA) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
+	enginepkg.BatchLoop(c, xs, ys, sr, masks, complement, bitmap)
 }
 
 func (c *CombBLASSPA) run(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {

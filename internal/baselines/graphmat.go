@@ -18,24 +18,22 @@ import (
 // classifies matrix-driven algorithms as unable to attain the lower
 // bound.
 //
-// GraphMat is a FrontierEngine whose preferred representation is the
-// bitmap: fed a list vector through Multiply, it wraps the input in a
-// pooled sparse.Frontier and pays the O(f) list→bitmap conversion
-// itself; fed a Frontier whose bitmap is already materialized (a
-// hybrid engine or batch caller sharing one frontier across calls),
-// the conversion is skipped entirely.
+// GraphMat consumes the bitmap representation of its input frontier:
+// the first call on a list-only frontier pays the O(f) list→bitmap
+// conversion; a frontier whose bitmap is already materialized (a
+// hybrid engine or batch caller sharing one frontier across calls, or
+// the native output bitmap of the previous level) skips it entirely.
 //
-// The row-split pieces are immutable after construction; the frontier
-// bitmaps live in a pool and the per-thread SPAs in a slot-pinned
-// gmState (warm state reuse, pool overflow — see par.Slots), so one
-// GraphMat is safe for concurrent Multiply calls.
+// The row-split pieces are immutable after construction; the per-thread
+// SPAs live in a slot-pinned gmState (warm state reuse, pool overflow —
+// see par.Slots), so one GraphMat is safe for concurrent Multiply
+// calls.
 type GraphMat struct {
 	pieces []*sparse.DCSC
 	m, n   sparse.Index
 	t      int
 
 	states *par.Slots[gmState]
-	fpool  *sparse.FrontierPool
 
 	counterAgg
 }
@@ -60,7 +58,6 @@ func NewGraphMat(a *sparse.CSC, t int) *GraphMat {
 		m:      a.NumRows,
 		n:      a.NumCols,
 		t:      t,
-		fpool:  sparse.NewFrontierPool(a.NumCols),
 	}
 	g.states = par.NewSlots(par.Threads(0), func() *gmState {
 		st := &gmState{
@@ -86,60 +83,29 @@ func (g *GraphMat) retire(st *gmState, slot int) {
 	g.states.Put(st, slot)
 }
 
-// PreferredRep reports the bitmap input representation GraphMat's
-// column-probe loop consumes natively.
-func (g *GraphMat) PreferredRep() enginepkg.Rep { return enginepkg.RepBitmap }
-
-// Multiply computes y ← A·x; the output is sorted. The list input is
-// converted to the bitvector format through a pooled frontier (O(f)
-// set + O(f) clear, never an O(n) wipe).
-func (g *GraphMat) Multiply(x, y *sparse.SpVec, sr semiring.Semiring) {
-	fr := g.fpool.Wrap(x)
-	g.run(fr, y, nil, sr, nil, false)
-	fr.Release()
-}
-
-// MultiplyMasked computes y ← ⟨A·x, mask⟩ with the mask pushed into
-// the per-piece pass: masked rows are dropped from each piece's
-// touched list before it is sorted or copied out, so they never reach
-// the output step.
-func (g *GraphMat) MultiplyMasked(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	fr := g.fpool.Wrap(x)
-	g.run(fr, y, nil, sr, mask, complement)
-	fr.Release()
-}
-
-// MultiplyFrontier computes y ← A·x reading the frontier's bitmap
-// representation, materializing it only when no earlier consumer of
-// the same frontier already has.
-func (g *GraphMat) MultiplyFrontier(fr *sparse.Frontier, y *sparse.SpVec, sr semiring.Semiring) {
-	g.run(fr, y, nil, sr, nil, false)
-}
-
-// OutputRep reports that MultiplyInto emits the bitmap natively: the
-// bitvector is GraphMat's natural vector format, and the per-piece
-// output copy scatters its rows into the output bitmap in the same
-// pass that writes the list.
-func (g *GraphMat) OutputRep() enginepkg.Rep { return enginepkg.RepBitmap }
-
-// MultiplyInto computes y ← A·x into the output frontier, bitmap
-// emitted natively — a bitvector-in, bitvector-out multiply, the shape
+// Multiply computes y ← ⟨A·x, mask⟩ into the output frontier; the
+// output is sorted. The input is read through the frontier's bitmap,
+// materialized only when no earlier consumer of the same frontier
+// already has (the O(f) list→bitmap conversion a list input costs is
+// counted in XScanned). The mask is pushed into the per-piece pass:
+// masked rows are dropped from each piece's touched list before it is
+// sorted or copied out. With bitmap set the per-piece output copy
+// scatters its rows into the output bitmap in the same pass that
+// writes the list — a bitvector-in, bitvector-out multiply, the shape
 // GraphMat's own matrix-driven pipeline composes.
-func (g *GraphMat) MultiplyInto(x, y *sparse.Frontier, sr semiring.Semiring) {
+func (g *GraphMat) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, bitmap bool) {
 	list := y.BeginOutput()
-	bits := y.OutputBits(g.m)
-	g.run(x, list, bits, sr, nil, false)
-	y.FinishOutput(true)
+	var bits *sparse.BitVec
+	if bitmap {
+		bits = y.OutputBits(g.m)
+	}
+	g.run(x, list, bits, sr, mask, complement)
+	y.FinishOutput(bitmap)
 }
 
-// MultiplyIntoMasked computes y ← ⟨A·x, mask⟩ into the output
-// frontier with the mask pushed into the per-piece pass and the
-// surviving rows emitted list+bitmap in one pass.
-func (g *GraphMat) MultiplyIntoMasked(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	list := y.BeginOutput()
-	bits := y.OutputBits(g.m)
-	g.run(x, list, bits, sr, mask, complement)
-	y.FinishOutput(true)
+// MultiplyBatch runs the batch as a loop of Multiply calls.
+func (g *GraphMat) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
+	enginepkg.BatchLoop(g, xs, ys, sr, masks, complement, bitmap)
 }
 
 // run is the shared matrix-driven multiply: frontier in, list (and

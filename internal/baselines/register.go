@@ -28,16 +28,3 @@ func init() {
 			return NewSortBased(a, opt.Threads)
 		}, "sort")
 }
-
-// Compile-time checks: every baseline supports the masked extension
-// (so masked BFS can compare all Table I engines), and GraphMat — the
-// bitvector-native algorithm — additionally reads and writes frontiers
-// natively.
-var (
-	_ enginepkg.MaskedEngine       = (*CombBLASSPA)(nil)
-	_ enginepkg.MaskedEngine       = (*CombBLASHeap)(nil)
-	_ enginepkg.MaskedEngine       = (*GraphMat)(nil)
-	_ enginepkg.MaskedEngine       = (*SortBased)(nil)
-	_ enginepkg.FrontierEngine     = (*GraphMat)(nil)
-	_ enginepkg.MaskedOutputEngine = (*GraphMat)(nil)
-)

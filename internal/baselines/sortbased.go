@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	enginepkg "spmspv/internal/engine"
 	"spmspv/internal/par"
 	"spmspv/internal/perf"
 	"spmspv/internal/radix"
@@ -61,16 +62,18 @@ func (s *SortBased) retire(st *sortState, slot int) {
 	s.states.Put(st, slot)
 }
 
-// Multiply computes y ← A·x; the output is sorted.
-func (s *SortBased) Multiply(x, y *sparse.SpVec, sr semiring.Semiring) {
-	s.run(x, y, sr, nil, false)
+// Multiply computes y ← ⟨A·x, mask⟩ into the output frontier's list;
+// the output is sorted and its bitmap is left lazy. The mask is tested
+// once per duplicate-run during the prune step: runs the mask kills are
+// skipped without reducing them (see masked.go).
+func (s *SortBased) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, _ bool) {
+	s.run(x.List(), y.BeginOutput(), sr, mask, complement)
+	y.FinishOutput(false)
 }
 
-// MultiplyMasked computes y ← ⟨A·x, mask⟩ with the mask tested once
-// per duplicate-run during the prune step: runs the mask kills are
-// skipped without reducing them (see masked.go).
-func (s *SortBased) MultiplyMasked(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	s.run(x, y, sr, mask, complement)
+// MultiplyBatch runs the batch as a loop of Multiply calls.
+func (s *SortBased) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
+	enginepkg.BatchLoop(s, xs, ys, sr, masks, complement, bitmap)
 }
 
 func (s *SortBased) run(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {

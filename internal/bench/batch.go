@@ -111,34 +111,39 @@ func CountFrontiers(batches [][]*sparse.SpVec) int {
 }
 
 // ReplayBatches runs one replay pass of the frontier batches through
-// the engine's batched multiply, chunked to batchSize; ys is reused
-// scratch with at least max-round-width entries. The BFS semiring
-// matches the workload the batches came from.
-func ReplayBatches(eng *core.Multiplier, batches [][]*sparse.SpVec, batchSize int, ys []*sparse.SpVec) {
+// the engine's batched multiply (list outputs), chunked to batchSize;
+// ys is reused scratch with at least max-round-width entries. The BFS
+// semiring matches the workload the batches came from.
+func ReplayBatches(eng *core.Multiplier, batches [][]*sparse.Frontier, batchSize int, ys []*sparse.Frontier) {
 	for _, batch := range batches {
 		for lo := 0; lo < len(batch); lo += batchSize {
 			hi := lo + batchSize
 			if hi > len(batch) {
 				hi = len(batch)
 			}
-			eng.MultiplyBatch(batch[lo:hi], ys[:hi-lo], semiring.MinSelect2nd)
+			eng.MultiplyBatch(batch[lo:hi], ys[:hi-lo], semiring.MinSelect2nd, nil, false, false)
 		}
 	}
 }
 
-// ReplayScratch allocates the ys scratch ReplayBatches needs.
-func ReplayScratch(batches [][]*sparse.SpVec) []*sparse.SpVec {
+// ReplayScratch wraps the captured batches as input frontiers and
+// allocates the output frontiers ReplayBatches needs, so replays
+// allocate no wrappers.
+func ReplayScratch(batches [][]*sparse.SpVec) (xs [][]*sparse.Frontier, ys []*sparse.Frontier) {
 	maxK := 0
-	for _, batch := range batches {
-		if len(batch) > maxK {
-			maxK = len(batch)
+	xs = make([][]*sparse.Frontier, len(batches))
+	for r, batch := range batches {
+		maxK = max(maxK, len(batch))
+		xs[r] = make([]*sparse.Frontier, len(batch))
+		for q, x := range batch {
+			xs[r][q] = sparse.NewFrontier(x)
 		}
 	}
-	ys := make([]*sparse.SpVec, maxK)
+	ys = make([]*sparse.Frontier, maxK)
 	for q := range ys {
-		ys[q] = sparse.NewSpVec(0, 0)
+		ys[q] = sparse.NewOutputFrontier(0)
 	}
-	return ys
+	return xs, ys
 }
 
 // timeBatchReplay replays the frontier batches, chunked to the given
@@ -146,11 +151,11 @@ func ReplayScratch(batches [][]*sparse.SpVec) []*sparse.SpVec {
 // per frontier.
 func timeBatchReplay(a *sparse.CSC, batches [][]*sparse.SpVec, batchSize, threads, reps int) time.Duration {
 	eng := core.NewMultiplier(a, core.Options{Threads: threads, SortOutput: true})
-	ys := ReplayScratch(batches)
-	ReplayBatches(eng, batches, batchSize, ys) // warmup: sizes pooled buffers
+	xs, ys := ReplayScratch(batches)
+	ReplayBatches(eng, xs, batchSize, ys) // warmup: sizes pooled buffers
 	start := time.Now()
 	for r := 0; r < reps; r++ {
-		ReplayBatches(eng, batches, batchSize, ys)
+		ReplayBatches(eng, xs, batchSize, ys)
 	}
 	return time.Since(start) / time.Duration(reps*CountFrontiers(batches))
 }

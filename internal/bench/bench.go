@@ -128,12 +128,13 @@ type Measurement struct {
 // after one untimed warmup, reporting average latency and per-call work.
 func TimeMultiply(spec EngineSpec, a *sparse.CSC, x *sparse.SpVec, threads, reps int) Measurement {
 	eng := spec.Build(a, threads)
-	y := sparse.NewSpVec(0, 0)
-	eng.Multiply(x, y, semiring.Arithmetic) // warmup; also sizes buffers
+	y := sparse.NewOutputFrontier(a.NumRows)
+	mult := ListMult(eng, a, y)
+	mult(x, semiring.Arithmetic) // warmup; also sizes buffers
 	eng.ResetCounters()
 	start := time.Now()
 	for r := 0; r < reps; r++ {
-		eng.Multiply(x, y, semiring.Arithmetic)
+		mult(x, semiring.Arithmetic)
 	}
 	elapsed := time.Since(start) / time.Duration(reps)
 	work := eng.Counters()
@@ -160,16 +161,16 @@ func TimeMultiply(spec EngineSpec, a *sparse.CSC, x *sparse.SpVec, threads, reps
 // against the engine under timing.
 func TimeBFS(spec EngineSpec, a *sparse.CSC, frontiers []*sparse.SpVec, threads, reps int) Measurement {
 	eng := spec.Build(a, threads)
-	y := sparse.NewSpVec(0, 0)
+	mult := ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
 	// Warmup pass over all frontiers.
 	for _, x := range frontiers {
-		eng.Multiply(x, y, semiring.MinSelect2nd)
+		mult(x, semiring.MinSelect2nd)
 	}
 	eng.ResetCounters()
 	start := time.Now()
 	for r := 0; r < reps; r++ {
 		for _, x := range frontiers {
-			eng.Multiply(x, y, semiring.MinSelect2nd)
+			mult(x, semiring.MinSelect2nd)
 		}
 	}
 	elapsed := time.Since(start) / time.Duration(reps)
@@ -185,6 +186,19 @@ func TimeBFS(spec EngineSpec, a *sparse.CSC, frontiers []*sparse.SpVec, threads,
 		NNZX:    nnzx,
 		Elapsed: elapsed,
 		Work:    work,
+	}
+}
+
+// ListMult returns a multiply of list vectors through eng into y. Each
+// input is wrapped in a pooled frontier per call, so GraphMat pays (and
+// counts) its list→bitmap conversion on every call, as its list-input
+// original does.
+func ListMult(eng Engine, a *sparse.CSC, y *sparse.Frontier) func(x *sparse.SpVec, sr semiring.Semiring) {
+	pool := sparse.NewFrontierPool(a.NumCols)
+	return func(x *sparse.SpVec, sr semiring.Semiring) {
+		xf := pool.Wrap(x)
+		eng.Multiply(xf, y, sr, nil, false, false)
+		xf.Release()
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"spmspv/internal/hybrid"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
+	"spmspv/internal/testutil"
 )
 
 func TestAllEnginesBuildAndAgree(t *testing.T) {
@@ -26,7 +27,7 @@ func TestAllEnginesBuildAndAgree(t *testing.T) {
 			t.Errorf("engine with empty name")
 		}
 		y := sparse.NewSpVec(0, 0)
-		eng.Multiply(x, y, semiring.Arithmetic)
+		testutil.Multiply(eng, x, y, semiring.Arithmetic)
 		results = append(results, y.Clone())
 		if eng.Counters().Work() == 0 {
 			t.Errorf("%s: no work recorded", spec.Name)
@@ -119,21 +120,21 @@ func TestHybridSpecUsesRegisteredEngine(t *testing.T) {
 	for i := sparse.Index(0); i < 500; i++ {
 		denseX.Append(i*2, 1)
 	}
-	h.Multiply(denseX, y, semiring.Arithmetic)
-	if h.Switches() != 1 {
+	testutil.Multiply(h, denseX, y, semiring.Arithmetic)
+	if h.Counters().DirectionSwitches != 1 {
 		t.Error("dense input should use the matrix-driven side")
 	}
 	// Both paths give the same answer.
 	y2 := sparse.NewSpVec(0, 0)
-	core.NewMultiplier(a, core.Options{SortOutput: true}).Multiply(denseX, y2, semiring.Arithmetic)
+	testutil.Multiply(core.NewMultiplier(a, core.Options{SortOutput: true}), denseX, y2, semiring.Arithmetic)
 	if !y.EqualValues(y2, 1e-9) {
 		t.Error("hybrid result differs from bucket result")
 	}
 
 	// Threshold 0 asks the registry path for calibration.
 	cal := HybridSpec(0).Build(a, 2).(*hybrid.Engine)
-	if !cal.Calibrated() {
-		t.Error("HybridSpec(0) should build a calibrated engine")
+	if th := cal.Threshold(); !(th > 0 && th <= 1) {
+		t.Errorf("HybridSpec(0) should build a calibrated engine, threshold %g outside (0, 1]", th)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 	"spmspv/internal/sparse"
 )
 
-// MultiplyBatch computes ys[q] ← A·xs[q] for a batch of input vectors
-// in one pass of the bucket algorithm, sharing what a loop of Multiply
-// calls pays per frontier: one workspace checkout, one
+// MultiplyBatch computes ys[q] ← ⟨A·xs[q], masks[q]⟩ into the output
+// frontiers in one pass of the bucket algorithm, sharing what a loop of
+// Multiply calls pays per frontier: one workspace checkout, one
 // Estimate/bucket-sizing pass and cursor prefix over the concatenated
 // inputs, one scatter and one merge parallel region, one counter
 // retirement. The per-frontier marginal cost approaches the pure O(df)
@@ -22,9 +22,11 @@ import (
 // Frontiers stay logically separate throughout: the bucket space is
 // subdivided per frontier (bucket id q·nb + rowbucket), the merge
 // processes all frontiers of one row range on one worker under
-// distinct SPA epochs, and each output vector is concatenated
-// independently. Results are exactly those of the equivalent Multiply
-// loop.
+// distinct SPA epochs (a slot's mask, when non-nil, is pushed into that
+// frontier's segment of the merge), and each output vector is
+// concatenated independently — with bitmap set, the batched Step 3
+// scatters every slot's output bitmap in the same pass. Results are
+// exactly those of the equivalent Multiply loop.
 //
 // len(xs) must equal len(ys); the ys must be pairwise distinct and not
 // alias any x. The ablation-only options UseInfSentinel and
@@ -32,54 +34,33 @@ import (
 // segments always use the epoch-tag merge and the direct-write
 // scatter. Every other option (threads, buckets, sorting, scheduling,
 // SplitEvenly) behaves as in Multiply.
-func (mu *Multiplier) MultiplyBatch(xs, ys []*sparse.SpVec, sr semiring.Semiring) {
-	mu.multiplyBatchLists(xs, ys, sr, nil, false, nil)
-}
-
-// MultiplyBatchInto computes ys[q] ← A·xs[q] into the output frontiers
-// through the batched bucket algorithm, emitting every slot's output
-// bitmap natively: the batched Step 3's per-(frontier, bucket) copy
-// scatters each bucket's unique indices into the slot's bitmap as it
-// writes the list — the batch analogue of MultiplyInto, so multi-source
-// frontier pipelines pay zero list→bitmap output conversions.
-func (mu *Multiplier) MultiplyBatchInto(xs, ys []*sparse.Frontier, sr semiring.Semiring) {
-	mu.multiplyBatchFrontiers(xs, ys, sr, nil, false)
-}
-
-// MultiplyBatchIntoMasked computes ys[q] ← ⟨A·xs[q], masks[q]⟩ into the
-// output frontiers (nil mask slots run unmasked): each slot's mask is
-// pushed into that frontier's segment of the batched merge, and the
-// surviving results are emitted list+bitmap in one pass exactly as in
-// MultiplyBatchInto.
-func (mu *Multiplier) MultiplyBatchIntoMasked(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement bool) {
-	mu.multiplyBatchFrontiers(xs, ys, sr, masks, complement)
-}
-
-func (mu *Multiplier) multiplyBatchFrontiers(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement bool) {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("core: batch with %d inputs but %d outputs", len(xs), len(ys)))
-	}
-	xl := make([]*sparse.SpVec, len(xs))
-	yl := make([]*sparse.SpVec, len(ys))
-	ob := make([]*sparse.BitVec, len(ys))
-	for q := range xs {
-		xl[q] = xs[q].List()
-		yl[q] = ys[q].BeginOutput()
-		ob[q] = ys[q].OutputBits(mu.A.NumRows)
-	}
-	mu.multiplyBatchLists(xl, yl, sr, masks, complement, ob)
-	for q := range ys {
-		ys[q].FinishOutput(true)
-	}
-}
-
-// multiplyBatchLists is the shared batched entry point: per-frontier
-// masks (nil slots unmasked) ride into the merge step and per-frontier
-// output bitmaps (nil means list only) into Step 3.
-func (mu *Multiplier) multiplyBatchLists(xs, ys []*sparse.SpVec, sr semiring.Semiring, masks []*sparse.BitVec, complement bool, outBits []*sparse.BitVec) {
+func (mu *Multiplier) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
 	if len(xs) != len(ys) {
 		panic(fmt.Sprintf("core: MultiplyBatch with %d inputs but %d outputs", len(xs), len(ys)))
 	}
+	xl := make([]*sparse.SpVec, len(xs))
+	yl := make([]*sparse.SpVec, len(ys))
+	var ob []*sparse.BitVec
+	if bitmap {
+		ob = make([]*sparse.BitVec, len(ys))
+	}
+	for q := range xs {
+		xl[q] = xs[q].List()
+		yl[q] = ys[q].BeginOutput()
+		if bitmap {
+			ob[q] = ys[q].OutputBits(mu.A.NumRows)
+		}
+	}
+	mu.multiplyBatchLists(xl, yl, sr, masks, complement, ob)
+	for q := range ys {
+		ys[q].FinishOutput(bitmap)
+	}
+}
+
+// multiplyBatchLists is the batched bucket multiply over list vectors:
+// per-frontier masks (nil slots unmasked) ride into the merge step and
+// per-frontier output bitmaps (nil means list only) into Step 3.
+func (mu *Multiplier) multiplyBatchLists(xs, ys []*sparse.SpVec, sr semiring.Semiring, masks []*sparse.BitVec, complement bool, outBits []*sparse.BitVec) {
 	if masks != nil && len(masks) != len(xs) {
 		panic(fmt.Sprintf("core: batch with %d inputs but %d masks", len(xs), len(masks)))
 	}

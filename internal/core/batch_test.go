@@ -45,7 +45,7 @@ func TestMultiplyBatchMatchesLoop(t *testing.T) {
 						ys[q] = sparse.NewSpVec(0, 0)
 						want[q] = baselines.Reference(a, xs[q], sr)
 					}
-					mu.MultiplyBatch(xs, ys, sr)
+					testutil.MultiplyBatch(mu, xs, ys, sr)
 					for q := 0; q < k; q++ {
 						if !ys[q].EqualValues(want[q], 1e-9) {
 							t.Fatalf("%dx%d t=%d k=%d sr=%s frontier %d: batch result differs from reference",
@@ -55,7 +55,7 @@ func TestMultiplyBatchMatchesLoop(t *testing.T) {
 							t.Fatalf("frontier %d: invalid output: %v", q, err)
 						}
 						loop := sparse.NewSpVec(0, 0)
-						mu.Multiply(xs[q], loop, sr)
+						testutil.Multiply(mu, xs[q], loop, sr)
 						if !ys[q].EqualValues(loop, 1e-9) {
 							t.Fatalf("frontier %d: batch differs from loop-of-Multiply", q)
 						}
@@ -73,7 +73,7 @@ func TestMultiplyBatchAllEmpty(t *testing.T) {
 	mu := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
 	xs := []*sparse.SpVec{sparse.NewSpVec(50, 0), sparse.NewSpVec(50, 0)}
 	ys := []*sparse.SpVec{sparse.NewSpVec(0, 0), sparse.NewSpVec(0, 0)}
-	mu.MultiplyBatch(xs, ys, semiring.Arithmetic)
+	testutil.MultiplyBatch(mu, xs, ys, semiring.Arithmetic)
 	for q, y := range ys {
 		if y.NNZ() != 0 || y.N != 50 {
 			t.Errorf("frontier %d: got %v, want empty of dimension 50", q, y)
@@ -95,12 +95,12 @@ func TestMultiplyBatchCounters(t *testing.T) {
 
 	loop := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
 	for q := range xs {
-		loop.Multiply(xs[q], ys[q], semiring.Arithmetic)
+		testutil.Multiply(loop, xs[q], ys[q], semiring.Arithmetic)
 	}
 	wantC := loop.Counters()
 
 	batch := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
-	batch.MultiplyBatch(xs, ys, semiring.Arithmetic)
+	testutil.MultiplyBatch(batch, xs, ys, semiring.Arithmetic)
 	gotC := batch.Counters()
 
 	// Input scans, matrix touches, bucket writes, SPA work and output

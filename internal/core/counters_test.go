@@ -119,7 +119,7 @@ func TestConcurrentMultipliers(t *testing.T) {
 			mu := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
 			y := sparse.NewSpVec(0, 0)
 			for rep := 0; rep < 20; rep++ {
-				mu.Multiply(xs[k], y, semiring.Arithmetic)
+				testutil.Multiply(mu, xs[k], y, semiring.Arithmetic)
 				if !y.EqualValues(want[k], 1e-9) {
 					errs[k] = "result mismatch under concurrency"
 					return

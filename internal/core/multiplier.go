@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"spmspv/internal/engine"
 	"spmspv/internal/par"
 	"spmspv/internal/perf"
 	"spmspv/internal/semiring"
@@ -11,11 +10,11 @@ import (
 )
 
 // Multiplier binds a matrix, slot-pinned reusable workspaces and
-// options into the uniform Multiply(x, y, sr) shape that the baselines
-// also implement, so graph algorithms and the benchmark harness can
-// treat all SpMSpV engines interchangeably.
+// options into the engine.Engine contract that the baselines also
+// implement, so graph algorithms and the benchmark harness can treat
+// all SpMSpV engines interchangeably.
 //
-// A Multiplier is safe for concurrent use: each Multiply claims a
+// A Multiplier is safe for concurrent use: each multiply claims a
 // workspace slot from a fixed GOMAXPROCS-sized par.Slots set — one
 // goroutine keeps the paper's single-preallocation behavior (§III-A)
 // and always gets the same warm workspace back; up to GOMAXPROCS
@@ -41,70 +40,36 @@ func NewMultiplier(a *sparse.CSC, opt Options) *Multiplier {
 	return mu
 }
 
-// Multiply computes y ← A·x over sr with the SpMSpV-bucket algorithm.
-func (mu *Multiplier) Multiply(x, y *sparse.SpVec, sr semiring.Semiring) {
-	ws, slot := mu.ws.Get()
-	Multiply(mu.A, x, y, sr, ws, mu.Opt)
-	mu.retire(ws, slot)
-}
-
-// MultiplyMasked computes the masked product (see MultiplyMasked).
-func (mu *Multiplier) MultiplyMasked(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	ws, slot := mu.ws.Get()
-	MultiplyMasked(mu.A, x, y, sr, mask, complement, ws, mu.Opt)
-	mu.retire(ws, slot)
-}
-
-// PreferredRep reports the list input representation the vector-driven
-// bucket algorithm scans natively.
-func (mu *Multiplier) PreferredRep() engine.Rep { return engine.RepList }
-
-// MultiplyFrontier computes y ← A·x reading the frontier's list
-// representation (always present; no conversion ever runs).
-func (mu *Multiplier) MultiplyFrontier(x *sparse.Frontier, y *sparse.SpVec, sr semiring.Semiring) {
-	mu.Multiply(x.List(), y, sr)
-}
-
-// OutputRep reports that MultiplyInto emits list and bitmap in one
-// pass: Step 3's per-bucket concatenation scatters each bucket's
-// unique indices into the output bitmap as it writes them to the list.
-func (mu *Multiplier) OutputRep() engine.Rep { return engine.RepBitmap }
-
-// MultiplyInto computes y ← A·x into the output frontier, emitting the
-// bitmap representation natively during the output step — a consumer
-// that prefers the bitmap (a hybrid engine's next dense level) reads
-// it with zero conversions.
-func (mu *Multiplier) MultiplyInto(x, y *sparse.Frontier, sr semiring.Semiring) {
+// Multiply computes y ← ⟨A·x, mask⟩ into the output frontier with the
+// SpMSpV-bucket algorithm, reading the frontier's list (always present;
+// no conversion ever runs). A non-nil mask is pushed into the merge
+// step, so bucket entries it kills never reach the SPA output; with
+// bitmap set, Step 3's per-bucket concatenation scatters each bucket's
+// unique indices into the output bitmap as it writes them to the list,
+// so a consumer that prefers the bitmap reads it with zero conversions.
+func (mu *Multiplier) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, bitmap bool) {
 	ws, slot := mu.ws.Get()
 	list := y.BeginOutput()
-	bits := y.OutputBits(mu.A.NumRows)
-	native := multiply(mu.A, x.List(), list, sr, ws, mu.Opt, nil, false, bits)
-	y.FinishOutput(native)
+	var bits *sparse.BitVec
+	if bitmap {
+		bits = y.OutputBits(mu.A.NumRows)
+	}
+	multiply(mu.A, x.List(), list, sr, ws, mu.Opt, mask, complement, bits)
+	y.FinishOutput(bitmap)
 	mu.retire(ws, slot)
+}
+
+// MultiplyInto computes y ← A·x into the output frontier, emitting the
+// bitmap natively.
+func (mu *Multiplier) MultiplyInto(x, y *sparse.Frontier, sr semiring.Semiring) {
+	mu.Multiply(x, y, sr, nil, false, true)
 }
 
 // MultiplyIntoMasked computes y ← ⟨A·x, mask⟩ into the output
-// frontier: the mask is pushed into the merge step (bucket entries it
-// kills never reach the SPA output) and the surviving result is
-// emitted list+bitmap in one pass.
+// frontier, emitting the bitmap natively.
 func (mu *Multiplier) MultiplyIntoMasked(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	ws, slot := mu.ws.Get()
-	list := y.BeginOutput()
-	bits := y.OutputBits(mu.A.NumRows)
-	native := multiply(mu.A, x.List(), list, sr, ws, mu.Opt, mask, complement, bits)
-	y.FinishOutput(native)
-	mu.retire(ws, slot)
+	mu.Multiply(x, y, sr, mask, complement, true)
 }
-
-// Compile-time checks: the bucket multiplier implements every optional
-// engine extension.
-var (
-	_ engine.MaskedEngine       = (*Multiplier)(nil)
-	_ engine.FrontierEngine     = (*Multiplier)(nil)
-	_ engine.BatchEngine        = (*Multiplier)(nil)
-	_ engine.MaskedOutputEngine = (*Multiplier)(nil)
-	_ engine.BatchOutputEngine  = (*Multiplier)(nil)
-)
 
 // retire folds the workspace's per-call work into the multiplier's
 // aggregate counters under the lock, zeroes it, and releases the

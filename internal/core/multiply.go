@@ -28,9 +28,8 @@ func MultiplyMasked(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring
 
 // multiply is the shared implementation. outBits, when non-nil, is an
 // output bitmap the final output step populates natively alongside y
-// (one pass emits both representations — see Multiplier.MultiplyInto);
-// multiply reports whether it did so (always, when outBits is non-nil).
-func multiply(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring.Semiring, ws *Workspace, opt Options, mask *sparse.BitVec, maskComplement bool, outBits *sparse.BitVec) bool {
+// (one pass emits both representations — see Multiplier.Multiply).
+func multiply(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring.Semiring, ws *Workspace, opt Options, mask *sparse.BitVec, maskComplement bool, outBits *sparse.BitVec) {
 	opt = opt.WithDefaults()
 	m := a.NumRows
 	y.Reset(m)
@@ -38,7 +37,7 @@ func multiply(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring.Semir
 	f := x.NNZ()
 	if f == 0 || m == 0 {
 		ws.Steps = perf.StepTimes{}
-		return outBits != nil
+		return
 	}
 
 	// The paper's parallel analysis assumes t ≤ f; more threads than
@@ -123,7 +122,6 @@ func multiply(a *sparse.CSC, x *sparse.SpVec, y *sparse.SpVec, sr semiring.Semir
 	outputStep(y, outBits, ws, ex, t, nb, shift, opt)
 	ws.Steps.Output = timer.Lap()
 	ws.foldSched(t)
-	return outBits != nil
 }
 
 // estimateBuckets implements Algorithm 2: each chunk's share of x is

@@ -105,7 +105,7 @@ func TestMultiplierAccessors(t *testing.T) {
 	}
 	x := testutil.VectorWithIndices(100, 5)
 	y := sparse.NewSpVec(0, 0)
-	mu.Multiply(x, y, semiring.Arithmetic)
+	testutil.Multiply(mu, x, y, semiring.Arithmetic)
 	if mu.Counters().Work() == 0 {
 		t.Error("no work accumulated")
 	}

@@ -63,7 +63,7 @@ func TestSchedulesBitIdentical(t *testing.T) {
 				for q := range ys {
 					ys[q] = sparse.NewSpVec(0, 0)
 				}
-				mu.MultiplyBatch(xs, ys, semiring.Arithmetic)
+				testutil.MultiplyBatch(mu, xs, ys, semiring.Arithmetic)
 				if sv.sched == SchedStatic {
 					ref, refMasked, refBatch = y, ym, ys
 					continue
@@ -114,7 +114,7 @@ func TestWorkCountersDeterministicAtFixedThreads(t *testing.T) {
 			}
 			take := func() snapshot {
 				mu := NewMultiplier(a, opt)
-				mu.Multiply(x, sparse.NewSpVec(0, 0), semiring.Arithmetic)
+				testutil.Multiply(mu, x, sparse.NewSpVec(0, 0), semiring.Arithmetic)
 				c := mu.Counters()
 				return snapshot{
 					work:       c.Work(),

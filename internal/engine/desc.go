@@ -133,10 +133,11 @@ type Desc struct {
 }
 
 // Shape is the dispatch-relevant projection of a Desc: the part that
-// determines which engine capabilities a call needs, and therefore the
-// key under which a compiled Plan is cached. Runtime arguments (the
-// mask pointers, complement polarity, batch width, semiring) are NOT
-// part of the shape — two calls that differ only in those share a plan.
+// determines the shape handling around the engine's multiply, and
+// therefore the key under which a compiled Plan is cached. Runtime
+// arguments (the mask pointers, complement polarity, batch width,
+// semiring) are NOT part of the shape — two calls that differ only in
+// those share a plan.
 type Shape struct {
 	// Masked is set when the call carries an output mask.
 	Masked bool

@@ -24,18 +24,35 @@ import (
 	"spmspv/internal/sparse"
 )
 
-// Engine is the uniform contract of one SpMSpV implementation bound to
-// one matrix: compute y ← A·x over a semiring, and report the
-// deterministic work counters behind the paper's work-efficiency
-// analysis.
+// Engine is the one contract of an SpMSpV implementation bound to one
+// matrix: compute y ← ⟨A·x, mask⟩ over a semiring, for one frontier or
+// a batch, and report the deterministic work counters behind the
+// paper's work-efficiency analysis.
+//
+// Both multiplies read the input frontier in the representation the
+// engine's inner loop consumes (the list for the vector-driven engines,
+// the shared, lazily built bitmap for GraphMat) and write the output
+// frontier through its BeginOutput/FinishOutput protocol. A non-nil
+// mask is pushed into the engine's merge/accumulate step (paper §V): a
+// row survives iff mask.Test(row) != complement. bitmap asks the engine
+// to emit the output bitmap in the same pass that writes the list;
+// engines whose output step never visits a bitmap-shaped structure
+// (CombBLAS-SPA, CombBLAS-heap, SpMSpV-sort) ignore it and leave the
+// bitmap lazy. With bitmap false no engine writes a bitmap.
 //
 // Concurrency: every Engine constructed through this registry is safe
-// for concurrent Multiply calls from multiple goroutines; per-call
-// scratch state is pooled internally and counters are aggregated
-// race-free.
+// for concurrent calls from multiple goroutines; per-call scratch state
+// is pooled internally and counters are aggregated race-free.
 type Engine interface {
-	// Multiply computes y ← A·x over sr. y is reset and filled.
-	Multiply(x, y *sparse.SpVec, sr semiring.Semiring)
+	// Multiply computes y ← ⟨A·x, mask⟩ over sr into the output
+	// frontier (a nil mask multiplies unmasked). x and y must not alias.
+	Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, bitmap bool)
+	// MultiplyBatch computes ys[q] ← ⟨A·xs[q], masks[q]⟩ for every q
+	// (nil masks, or a nil slot, multiply unmasked). Results are exactly
+	// those of the loop of Multiply calls, which engines without a
+	// native batch path run through BatchLoop. len(xs) must equal
+	// len(ys); the ys must be pairwise distinct and alias no x.
+	MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool)
 	// Counters returns the work performed since the last ResetCounters.
 	Counters() perf.Counters
 	// ResetCounters zeroes the work counters.
@@ -44,154 +61,18 @@ type Engine interface {
 	Name() string
 }
 
-// MaskedEngine is the optional extension for engines that push the
-// output mask down into the merge step (paper §V future work);
-// internal/core's bucket engine implements it.
-type MaskedEngine interface {
-	Engine
-	MultiplyMasked(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool)
-}
-
-// Rep identifies a frontier (input-vector) representation. The paper's
-// §II-C names the two in use: the compact list of (index, value) pairs
-// that vector-driven algorithms scan, and the O(n) bitvector that
-// GraphMat's matrix-driven loop probes.
-type Rep int
-
-const (
-	// RepList is the list format (sparse.SpVec).
-	RepList Rep = iota
-	// RepBitmap is the bitvector format (sparse.BitVec).
-	RepBitmap
-)
-
-// String names the representation.
-func (r Rep) String() string {
-	if r == RepBitmap {
-		return "bitmap"
-	}
-	return "list"
-}
-
-// FrontierEngine is the optional extension for engines that accept a
-// dual-representation Frontier directly and declare which
-// representation their inner loop natively consumes. Callers holding a
-// Frontier should route through MultiplyFrontier so a representation
-// materialized once (e.g. the bitmap a hybrid engine builds for its
-// matrix-driven side) is reused instead of rebuilt per call; callers
-// holding a plain list vector lose nothing by calling Multiply.
-type FrontierEngine interface {
-	Engine
-	// PreferredRep reports the representation the engine consumes
-	// natively — the one a caller should keep materialized when it
-	// feeds the same frontier to this engine repeatedly.
-	PreferredRep() Rep
-	// MultiplyFrontier computes y ← A·x over sr, reading whichever
-	// representation of x the engine prefers (materializing it at most
-	// once on the shared Frontier).
-	MultiplyFrontier(x *sparse.Frontier, y *sparse.SpVec, sr semiring.Semiring)
-}
-
-// OutputEngine is the optional extension for engines whose result is
-// written into a sparse.Frontier rather than a bare list vector —
-// outputs made symmetric with inputs. An OutputEngine drives the
-// frontier's BeginOutput/FinishOutput protocol itself and, when its
-// output pass already visits a bitmap-shaped structure, emits the
-// output bitmap natively in the same pass — so a consumer that prefers
-// the bitmap (GraphMat's matrix-driven loop, a hybrid engine's dense
-// levels) reads it with no list→bitmap conversion ever running.
-// Engines that only speak lists are served by CompilePlan's list
-// fallback, which runs the list multiply into the frontier and leaves
-// the bitmap lazy.
-type OutputEngine interface {
-	Engine
-	// OutputRep reports the richest representation MultiplyInto
-	// populates natively: RepBitmap means the output frontier carries
-	// list and bitmap after one pass; RepList means list only (the
-	// bitmap, if a consumer demands it, is a counted conversion).
-	OutputRep() Rep
-	// MultiplyInto computes y ← A·x over sr, writing the result into
-	// the output frontier (list authoritative, bitmap populated
-	// natively when OutputRep is RepBitmap). x and y must not alias.
-	MultiplyInto(x, y *sparse.Frontier, sr semiring.Semiring)
-}
-
-// MaskedOutputEngine combines the masked and output extensions: the
-// output mask is pushed down into the engine's merge/accumulate step
-// (entries the mask kills never reach the output) AND the surviving
-// result is emitted in frontier form. This is the §V GraphBLAS
-// "masked SpMSpV" primitive in the shape graph algorithms compose:
-// BFS's visited filter becomes part of the multiply and the filtered
-// output is immediately a valid next frontier.
-type MaskedOutputEngine interface {
-	OutputEngine
-	// MultiplyIntoMasked computes y ← ⟨A·x, mask⟩ into the output
-	// frontier; complement inverts the mask test.
-	MultiplyIntoMasked(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement bool)
-}
-
-// OutputRepOf reports the representation e emits natively into output
-// frontiers: RepList for engines served by the fallback wrapper.
-func OutputRepOf(e Engine) Rep {
-	if oe, ok := e.(OutputEngine); ok {
-		return oe.OutputRep()
-	}
-	return RepList
-}
-
-// Frontier-output execution — which of the optional interfaces above a
-// given engine implements, and how to degrade when it doesn't — is
-// compiled once per (engine, shape) by CompilePlan (plan.go); the Plan
-// is the uniform entry point frontier pipelines use, so every
-// registered engine writes frontier outputs with no per-call type
-// assertions.
-
-// BatchOutputEngine is the optional extension for engines whose
-// batched multiply writes frontier-form outputs natively: the batched
-// Step 3 emits list and bitmap in one pass per slot, and the masked
-// variant pushes one output mask per slot into the batched merge. This
-// is what makes multi-source direction-optimized pipelines (masked
-// MultiBFS) conversion-free: every slot's output bitmap is ready for
-// the next level's matrix-driven side without a list→bitmap conversion
-// ever running.
-type BatchOutputEngine interface {
-	Engine
-	// MultiplyBatchInto computes ys[q] ← A·xs[q] into the output
-	// frontiers, emitting each slot's bitmap natively.
-	MultiplyBatchInto(xs, ys []*sparse.Frontier, sr semiring.Semiring)
-	// MultiplyBatchIntoMasked computes ys[q] ← ⟨A·xs[q], masks[q]⟩ into
-	// the output frontiers (nil slots run unmasked); complement inverts
-	// every mask test.
-	MultiplyBatchIntoMasked(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement bool)
-}
-
-// BatchEngine is the optional extension for engines that multiply a
-// batch of frontiers against the matrix in one pass, amortizing
-// per-call setup (the bucket engine's Estimate/bucket-sizing pass,
-// workspace checkout, scheduling) across the batch — the SpGEMM-style
-// batching that serves multi-source BFS and other multi-frontier
-// workloads.
-type BatchEngine interface {
-	Engine
-	// MultiplyBatch computes ys[q] ← A·xs[q] for every q over sr.
-	// len(xs) must equal len(ys); the xs must not alias the ys.
-	MultiplyBatch(xs, ys []*sparse.SpVec, sr semiring.Semiring)
-}
-
-// MultiplyBatch runs a batch of multiplies through e: natively when e
-// implements BatchEngine, otherwise as a loop of Multiply calls. This
-// is the uniform entry point batch-level callers (multi-source BFS,
-// the facade) use so every registered engine accepts batches.
-func MultiplyBatch(e Engine, xs, ys []*sparse.SpVec, sr semiring.Semiring) {
+// BatchLoop is the batch multiply of engines with no native batch
+// path: one e.Multiply call per slot, with the slot's mask.
+func BatchLoop(e Engine, xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
 	if len(xs) != len(ys) {
 		panic(fmt.Sprintf("engine: MultiplyBatch with %d inputs but %d outputs", len(xs), len(ys)))
 	}
-	if be, ok := e.(BatchEngine); ok {
-		be.MultiplyBatch(xs, ys, sr)
-		return
-	}
 	for q := range xs {
-		e.Multiply(xs[q], ys[q], sr)
+		var mask *sparse.BitVec
+		if masks != nil {
+			mask = masks[q]
+		}
+		e.Multiply(xs[q], ys[q], sr, mask, complement, bitmap)
 	}
 }
 

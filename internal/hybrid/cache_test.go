@@ -9,6 +9,7 @@ import (
 	"spmspv/internal/graphgen"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
+	"spmspv/internal/testutil"
 )
 
 func TestFingerprintStableAndDiscriminating(t *testing.T) {
@@ -33,16 +34,16 @@ func TestCalibrationCacheRoundTrip(t *testing.T) {
 	opt := engine.Options{Threads: 1, CalibrationCache: cache}
 
 	first := New(a, opt)
-	if !first.Calibrated() || first.FromCache() {
+	if !first.calibrated || first.fromCache {
 		t.Fatalf("first construction: calibrated=%v fromCache=%v, want true,false",
-			first.Calibrated(), first.FromCache())
+			first.calibrated, first.fromCache)
 	}
 	if _, err := os.Stat(cache); err != nil {
 		t.Fatalf("cache file not written: %v", err)
 	}
 
 	second := New(a, opt)
-	if !second.FromCache() {
+	if !second.fromCache {
 		t.Fatal("second construction did not hit the cache")
 	}
 	if second.Threshold() != first.Threshold() {
@@ -51,10 +52,10 @@ func TestCalibrationCacheRoundTrip(t *testing.T) {
 
 	opt.Recalibrate = true
 	third := New(a, opt)
-	if third.FromCache() {
+	if third.fromCache {
 		t.Fatal("-recalibrate construction served from cache")
 	}
-	if !third.Calibrated() {
+	if !third.calibrated {
 		t.Fatal("-recalibrate construction not calibrated")
 	}
 }
@@ -66,14 +67,14 @@ func TestCalibrationCacheCorruptFileFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := New(a, engine.Options{Threads: 1, CalibrationCache: cache})
-	if h.FromCache() {
+	if h.fromCache {
 		t.Fatal("corrupt cache produced a hit")
 	}
-	if !h.Calibrated() {
+	if !h.calibrated {
 		t.Fatal("corrupt cache blocked calibration")
 	}
 	// The rewritten cache must now serve hits.
-	if !New(a, engine.Options{Threads: 1, CalibrationCache: cache}).FromCache() {
+	if !New(a, engine.Options{Threads: 1, CalibrationCache: cache}).fromCache {
 		t.Fatal("cache not repaired after corruption")
 	}
 }
@@ -83,7 +84,7 @@ func TestCacheMissOnDifferentMatrix(t *testing.T) {
 	a := graphgen.RMAT(graphgen.DefaultRMAT(7), 5)
 	New(a, engine.Options{Threads: 1, CalibrationCache: cache})
 	b := graphgen.Grid2D(12, 12)
-	if New(b, engine.Options{Threads: 1, CalibrationCache: cache}).FromCache() {
+	if New(b, engine.Options{Threads: 1, CalibrationCache: cache}).fromCache {
 		t.Fatal("different matrix hit the other matrix's cache entry")
 	}
 }
@@ -94,14 +95,14 @@ func TestCachedThresholdBehavesLikeCalibrated(t *testing.T) {
 	opt := engine.Options{Threads: 1, SortOutput: true, CalibrationCache: cache}
 	fresh := New(a, opt)
 	cached := New(a, opt)
-	if !cached.FromCache() {
+	if !cached.fromCache {
 		t.Fatal("expected cache hit")
 	}
 	x := probeFrontier(a.NumCols, int(a.NumCols)/2)
 	y1 := sparse.NewSpVec(0, 0)
 	y2 := sparse.NewSpVec(0, 0)
-	fresh.Multiply(x, y1, semiring.Arithmetic)
-	cached.Multiply(x, y2, semiring.Arithmetic)
+	testutil.Multiply(fresh, x, y1, semiring.Arithmetic)
+	testutil.Multiply(cached, x, y2, semiring.Arithmetic)
 	if !y1.EqualValues(y2, 1e-9) {
 		t.Fatal("cached-threshold engine diverged from freshly calibrated engine")
 	}

@@ -36,7 +36,10 @@ func calibrate(bucket *core.Multiplier, matrix *baselines.GraphMat, a *sparse.CS
 	if n == 0 || a.NNZ() == 0 {
 		return 1
 	}
-	y := sparse.NewSpVec(0, 0)
+	y := sparse.NewOutputFrontier(a.NumRows)
+	// GraphMat probes wrap the list input in a pooled frontier per call,
+	// so every probe pays its list→bitmap conversion.
+	pool := sparse.NewFrontierPool(n)
 	prev := 0.0
 	for _, d := range probeDensities {
 		f := int(d * float64(n))
@@ -44,8 +47,13 @@ func calibrate(bucket *core.Multiplier, matrix *baselines.GraphMat, a *sparse.CS
 			f = 1
 		}
 		x := probeFrontier(n, f)
-		tb := probeTime(func() { bucket.Multiply(x, y, semiring.Arithmetic) })
-		tm := probeTime(func() { matrix.Multiply(x, y, semiring.Arithmetic) })
+		xf := sparse.NewFrontier(x)
+		tb := probeTime(func() { bucket.Multiply(xf, y, semiring.Arithmetic, nil, false, false) })
+		tm := probeTime(func() {
+			fr := pool.Wrap(x)
+			matrix.Multiply(fr, y, semiring.Arithmetic, nil, false, false)
+			fr.Release()
+		})
 		if tm < tb {
 			if prev == 0 {
 				return d / 2

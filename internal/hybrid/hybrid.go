@@ -120,163 +120,57 @@ func NewWithThreshold(a *sparse.CSC, opt engine.Options, threshold float64) *Eng
 // Threshold returns the active switch threshold (nnz(x)/n fraction).
 func (h *Engine) Threshold() float64 { return h.threshold }
 
-// Calibrated reports whether the threshold came from construction-time
-// probe multiplies (or the calibration cache) rather than
-// Options.HybridThreshold.
-func (h *Engine) Calibrated() bool { return h.calibrated }
-
-// FromCache reports whether the threshold was served by the on-disk
-// calibration cache, skipping the probe multiplies.
-func (h *Engine) FromCache() bool { return h.fromCache }
-
 // matrixDriven reports whether an input with f nonzeros takes the
 // matrix-driven side.
 func (h *Engine) matrixDriven(f int) bool {
 	return float64(f) >= h.threshold*float64(h.n)
 }
 
-// Multiply computes y ← A·x, dispatching on input density.
-func (h *Engine) Multiply(x, y *sparse.SpVec, sr semiring.Semiring) {
-	if h.matrixDriven(x.NNZ()) {
-		h.switches.Add(1)
-		h.matrix.Multiply(x, y, sr)
-		return
-	}
-	h.bucket.Multiply(x, y, sr)
-}
-
-// PreferredRep reports the list representation: the hybrid engine
-// accepts list input and materializes the bitmap itself only for the
-// calls it routes to the matrix-driven side.
-func (h *Engine) PreferredRep() engine.Rep { return engine.RepList }
-
-// MultiplyFrontier computes y ← A·x, reading only the representation
-// the chosen direction needs: the list for the bucket side, the shared
+// Multiply computes y ← ⟨A·x, mask⟩ into the output frontier,
+// dispatching on input density and reading only the representation the
+// chosen direction needs: the list for the bucket side, the shared
 // bitmap (materialized at most once per frontier) for the matrix side.
-func (h *Engine) MultiplyFrontier(x *sparse.Frontier, y *sparse.SpVec, sr semiring.Semiring) {
+// Both sides push the mask down and, with bitmap set, emit list+bitmap
+// in one pass, which is what makes a direction-optimized frontier
+// pipeline conversion-free: a dense level's output bitmap is exactly
+// what the next dense level's matrix-driven input side wants.
+func (h *Engine) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, bitmap bool) {
 	if h.matrixDriven(x.NNZ()) {
 		h.switches.Add(1)
-		h.matrix.MultiplyFrontier(x, y, sr)
+		h.matrix.Multiply(x, y, sr, mask, complement, bitmap)
 		return
 	}
-	h.bucket.Multiply(x.List(), y, sr)
+	h.bucket.Multiply(x, y, sr, mask, complement, bitmap)
 }
 
-// MultiplyMasked computes y ← ⟨A·x, mask⟩. Both sides push the mask
-// down: the bucket side into its merge step, the matrix side into
-// GraphMat's per-piece touched filtering.
-func (h *Engine) MultiplyMasked(x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	if h.matrixDriven(x.NNZ()) {
-		h.switches.Add(1)
-		h.matrix.MultiplyMasked(x, y, sr, mask, complement)
-		return
-	}
-	h.bucket.MultiplyMasked(x, y, sr, mask, complement)
-}
-
-// OutputRep reports that both sides emit the output bitmap natively in
-// their output pass, so the direction taken never costs a consumer a
-// list→bitmap conversion.
-func (h *Engine) OutputRep() engine.Rep { return engine.RepBitmap }
-
-// MultiplyInto computes y ← A·x into the output frontier, dispatching
-// on input density. Both sides emit list+bitmap in one pass, which is
-// what makes a direction-optimized frontier pipeline conversion-free:
-// a dense level's output bitmap is exactly what the next dense level's
-// matrix-driven input side wants.
-func (h *Engine) MultiplyInto(x, y *sparse.Frontier, sr semiring.Semiring) {
-	if h.matrixDriven(x.NNZ()) {
-		h.switches.Add(1)
-		h.matrix.MultiplyInto(x, y, sr)
-		return
-	}
-	h.bucket.MultiplyInto(x, y, sr)
-}
-
-// MultiplyIntoMasked computes y ← ⟨A·x, mask⟩ into the output
-// frontier, dispatching on input density with the mask pushed down on
-// both sides.
-func (h *Engine) MultiplyIntoMasked(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
-	if h.matrixDriven(x.NNZ()) {
-		h.switches.Add(1)
-		h.matrix.MultiplyIntoMasked(x, y, sr, mask, complement)
-		return
-	}
-	h.bucket.MultiplyIntoMasked(x, y, sr, mask, complement)
-}
-
-// MultiplyBatch computes ys[q] ← A·xs[q], routing each frontier by its
-// own density: the vector-driven frontiers run through the bucket
-// engine's batched multiply (one shared Estimate pass), the
-// matrix-driven ones through GraphMat individually.
-func (h *Engine) MultiplyBatch(xs, ys []*sparse.SpVec, sr semiring.Semiring) {
-	var bxs, bys []*sparse.SpVec
-	for q := range xs {
-		if h.matrixDriven(xs[q].NNZ()) {
-			h.switches.Add(1)
-			h.matrix.Multiply(xs[q], ys[q], sr)
-			continue
-		}
-		bxs = append(bxs, xs[q])
-		bys = append(bys, ys[q])
-	}
-	if len(bxs) > 0 {
-		h.bucket.MultiplyBatch(bxs, bys, sr)
-	}
-}
-
-// MultiplyBatchInto computes ys[q] ← A·xs[q] into the output frontiers,
-// routing each slot by its own density: dense slots run the
-// matrix-driven side's native frontier output, the sparse remainder
-// runs the bucket engine's batched native-output multiply — every
-// slot's bitmap is emitted natively either way, so multi-source
-// direction-optimized pipelines stay conversion-free.
-func (h *Engine) MultiplyBatchInto(xs, ys []*sparse.Frontier, sr semiring.Semiring) {
-	h.multiplyBatchInto(xs, ys, sr, nil, false)
-}
-
-// MultiplyBatchIntoMasked is MultiplyBatchInto with one output mask per
-// slot (nil slots unmasked) pushed down on whichever side the slot
-// takes.
-func (h *Engine) MultiplyBatchIntoMasked(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement bool) {
-	h.multiplyBatchInto(xs, ys, sr, masks, complement)
-}
-
-func (h *Engine) multiplyBatchInto(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement bool) {
+// MultiplyBatch computes ys[q] ← ⟨A·xs[q], masks[q]⟩, routing each slot
+// by its own density: dense slots run the matrix-driven side one at a
+// time, the sparse remainder runs the bucket engine's batched multiply
+// (one shared Estimate pass), with each slot's mask pushed down on
+// whichever side the slot takes.
+func (h *Engine) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
 	var bxs, bys []*sparse.Frontier
 	var bmasks []*sparse.BitVec
-	anyMask := false
 	for q := range xs {
-		var mk *sparse.BitVec
+		var mask *sparse.BitVec
 		if masks != nil {
-			mk = masks[q]
+			mask = masks[q]
 		}
 		if h.matrixDriven(xs[q].NNZ()) {
 			h.switches.Add(1)
-			if mk != nil {
-				h.matrix.MultiplyIntoMasked(xs[q], ys[q], sr, mk, complement)
-			} else {
-				h.matrix.MultiplyInto(xs[q], ys[q], sr)
-			}
+			h.matrix.Multiply(xs[q], ys[q], sr, mask, complement, bitmap)
 			continue
 		}
 		bxs = append(bxs, xs[q])
 		bys = append(bys, ys[q])
-		bmasks = append(bmasks, mk)
-		anyMask = anyMask || mk != nil
+		if masks != nil {
+			bmasks = append(bmasks, mask)
+		}
 	}
-	switch {
-	case len(bxs) == 0:
-	case anyMask:
-		h.bucket.MultiplyBatchIntoMasked(bxs, bys, sr, bmasks, complement)
-	default:
-		h.bucket.MultiplyBatchInto(bxs, bys, sr)
+	if len(bxs) > 0 {
+		h.bucket.MultiplyBatch(bxs, bys, sr, bmasks, complement, bitmap)
 	}
 }
-
-// Switches reports how many calls took the matrix-driven path since
-// the last ResetCounters.
-func (h *Engine) Switches() int64 { return h.switches.Load() }
 
 // Counters merges both sides' work and reports the direction switches.
 func (h *Engine) Counters() perf.Counters {
@@ -296,14 +190,3 @@ func (h *Engine) ResetCounters() {
 
 // Name identifies the engine in benchmark tables.
 func (h *Engine) Name() string { return "Hybrid" }
-
-// Compile-time checks: the hybrid engine implements every optional
-// engine extension.
-var (
-	_ engine.Engine             = (*Engine)(nil)
-	_ engine.MaskedEngine       = (*Engine)(nil)
-	_ engine.FrontierEngine     = (*Engine)(nil)
-	_ engine.BatchEngine        = (*Engine)(nil)
-	_ engine.MaskedOutputEngine = (*Engine)(nil)
-	_ engine.BatchOutputEngine  = (*Engine)(nil)
-)

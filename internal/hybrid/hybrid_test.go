@@ -40,7 +40,7 @@ func TestRegistryConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := e.(*Engine)
-	if !h.Calibrated() {
+	if !h.calibrated {
 		t.Error("zero HybridThreshold should trigger calibration")
 	}
 	if th := h.Threshold(); !(th > 0 && th <= 1) {
@@ -52,16 +52,16 @@ func TestRegistryConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := e.(*Engine); h.Calibrated() || h.Threshold() != 0.25 {
-		t.Errorf("explicit threshold: calibrated=%v th=%g", h.Calibrated(), h.Threshold())
+	if h := e.(*Engine); h.calibrated || h.Threshold() != 0.25 {
+		t.Errorf("explicit threshold: calibrated=%v th=%g", h.calibrated, h.Threshold())
 	}
 
 	// A negative threshold pins the vector-driven side.
 	h = NewWithThreshold(a, opt(2), -1)
 	x := testutil.RandomVector(rng, 400, 400, true)
 	y := sparse.NewSpVec(0, 0)
-	h.Multiply(x, y, semiring.Arithmetic)
-	if h.Switches() != 0 {
+	testutil.Multiply(h, x, y, semiring.Arithmetic)
+	if h.Counters().DirectionSwitches != 0 {
 		t.Error("pinned engine took the matrix-driven path")
 	}
 }
@@ -92,28 +92,28 @@ func TestHybridMatchesOracleAtEveryThreshold(t *testing.T) {
 				want := baselines.Reference(a, x, sr)
 				y := sparse.NewSpVec(0, 0)
 
-				h.Multiply(x, y, sr)
+				testutil.Multiply(h, x, y, sr)
 				if !y.EqualValues(want, 1e-9) {
 					t.Fatalf("th=%g f=%d sr=%s: plain multiply differs from oracle", th, f, sr.Name)
 				}
 
-				h.MultiplyMasked(x, y, sr, mask, false)
+				testutil.MultiplyMasked(h, x, y, sr, mask, false)
 				wantMasked := sparse.Filter(want, func(i sparse.Index, _ float64) bool { return mask.Test(i) })
 				if !y.EqualValues(wantMasked, 1e-9) {
 					t.Fatalf("th=%g f=%d sr=%s: masked multiply differs from oracle", th, f, sr.Name)
 				}
 
-				h.MultiplyMasked(x, y, sr, mask, true)
+				testutil.MultiplyMasked(h, x, y, sr, mask, true)
 				wantCompl := sparse.Filter(want, func(i sparse.Index, _ float64) bool { return !mask.Test(i) })
 				if !y.EqualValues(wantCompl, 1e-9) {
 					t.Fatalf("th=%g f=%d sr=%s: complement-masked multiply differs from oracle", th, f, sr.Name)
 				}
 
 				// Accumulate: y ← accum ⊕ (A·x), the GraphBLAS pattern the
-				// facade builds from Multiply + EwiseAddInto.
+				// plan builds from Multiply + EwiseAddInto.
 				accum := testutil.RandomVector(rng, a.NumRows, 40, true)
 				prod := sparse.NewSpVec(0, 0)
-				h.Multiply(x, prod, sr)
+				testutil.Multiply(h, x, prod, sr)
 				got := sparse.EwiseAdd(prod, accum, sr.Add)
 				wantAcc := sparse.EwiseAdd(want, accum, sr.Add)
 				if !got.EqualValues(wantAcc, 1e-9) {
@@ -123,7 +123,7 @@ func TestHybridMatchesOracleAtEveryThreshold(t *testing.T) {
 		}
 		// Threshold semantics: 0 routes everything matrix-driven.
 		if th == 0 {
-			if got := h.Switches(); got == 0 {
+			if got := h.Counters().DirectionSwitches; got == 0 {
 				t.Error("threshold 0 never took the matrix-driven path")
 			}
 		}
@@ -141,21 +141,18 @@ func TestSwitchAccounting(t *testing.T) {
 
 	sparseX := sparse.NewSpVec(1000, 1)
 	sparseX.Append(5, 1)
-	h.Multiply(sparseX, y, semiring.Arithmetic)
-	if h.Switches() != 0 {
+	testutil.Multiply(h, sparseX, y, semiring.Arithmetic)
+	if h.Counters().DirectionSwitches != 0 {
 		t.Error("sparse input should use the bucket side")
 	}
 
 	denseX := testutil.RandomVector(rng, 1000, 500, true)
-	h.Multiply(denseX, y, semiring.Arithmetic)
-	if h.Switches() != 1 {
-		t.Errorf("switches = %d, want 1", h.Switches())
-	}
+	testutil.Multiply(h, denseX, y, semiring.Arithmetic)
 	if c := h.Counters(); c.DirectionSwitches != 1 {
 		t.Errorf("Counters().DirectionSwitches = %d, want 1", c.DirectionSwitches)
 	}
 	h.ResetCounters()
-	if h.Switches() != 0 || h.Counters().Work() != 0 {
+	if c := h.Counters(); c.DirectionSwitches != 0 || c.Work() != 0 {
 		t.Error("reset failed")
 	}
 	if h.Name() != "Hybrid" {
@@ -181,9 +178,9 @@ func TestHybridBatchMatchesLoop(t *testing.T) {
 		xs[q] = testutil.RandomVector(rng, 600, f, true)
 		ys[q] = sparse.NewSpVec(0, 0)
 	}
-	h.MultiplyBatch(xs, ys, semiring.MinPlus)
-	if h.Switches() != 3 {
-		t.Errorf("switches = %d, want 3 (the dense half of the batch)", h.Switches())
+	testutil.MultiplyBatch(h, xs, ys, semiring.MinPlus)
+	if got := h.Counters().DirectionSwitches; got != 3 {
+		t.Errorf("switches = %d, want 3 (the dense half of the batch)", got)
 	}
 	for q := range xs {
 		want := baselines.Reference(a, xs[q], semiring.MinPlus)
@@ -224,7 +221,7 @@ func TestConcurrentHybrid(t *testing.T) {
 			y := sparse.NewSpVec(0, 0)
 			for rep := 0; rep < 25; rep++ {
 				c := cases[(g+rep)%len(cases)]
-				h.Multiply(c.x, y, semiring.Arithmetic)
+				testutil.Multiply(h, c.x, y, semiring.Arithmetic)
 				if !y.EqualValues(c.want, 1e-9) {
 					errs[g] = "result mismatch under concurrency"
 					return

@@ -62,7 +62,7 @@ type Counters struct {
 	// how often the conversion could not be shared.
 	FrontierConversions int64
 	// OutputConversions counts the subset of FrontierConversions whose
-	// frontier was produced by an engine output pass (MultiplyInto) —
+	// frontier was produced by an engine output pass (Engine.Multiply) —
 	// the conversions the output-representation layer exists to
 	// eliminate. An engine that emits its output bitmap natively while
 	// writing the list keeps this at zero for every consumer of that

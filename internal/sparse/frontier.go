@@ -18,8 +18,8 @@ import (
 //
 // A Frontier is also the engines' output format: an engine writes its
 // result into a frontier through BeginOutput/OutputBits/FinishOutput
-// (see engine.OutputEngine), populating the bitmap natively when its
-// output pass already visits one — so a direction-optimized BFS feeding
+// (see engine.Engine), populating the bitmap natively when its output
+// pass already visits one — so a direction-optimized BFS feeding
 // each level's output frontier back as the next input pays zero
 // list→bitmap conversions on dense phases.
 //
@@ -129,7 +129,11 @@ func (f *Frontier) IsOutput() bool { return f.isOutput }
 
 // SetList replaces the frontier's contents with a new list vector,
 // erasing any stale bitmap state in O(nnz(old)) so the backing bitmap
-// can be rebuilt (or never built) for the new contents.
+// can be rebuilt (or never built) for the new contents. The erase walks
+// the list the frontier currently holds, so a caller that rebuilds that
+// same vector in place must call SetList before mutating it (and again
+// after, to re-point the frontier); otherwise the old entries' bits
+// stay set.
 func (f *Frontier) SetList(x *SpVec) {
 	if x == nil {
 		panic("sparse: Frontier.SetList with nil vector")
@@ -234,11 +238,12 @@ func (f *Frontier) Release() {
 
 // FrontierPool recycles frontiers — most importantly their O(n)
 // bitmaps — for one vector dimension, the per-matrix analogue of the
-// engines' workspace pools: an engine (or algorithm) that wraps each
-// incoming list vector in a pooled frontier pays one bitmap allocation
-// per concurrent call ever, not one per call, and the erase on release
-// is O(nnz) thanks to BitVec.ClearFrom. The pool is safe for
-// concurrent use.
+// engines' workspace pools: a caller that wraps each incoming list
+// vector in a pooled frontier pays one bitmap allocation per concurrent
+// call ever, not one per call, and the erase on release is O(nnz)
+// thanks to BitVec.ClearFrom. A pooled frontier allocates its bitmap
+// on first demand, so wrapping for an engine that reads only the list
+// costs no bitmap at all. The pool is safe for concurrent use.
 type FrontierPool struct {
 	n    Index
 	pool sync.Pool // *Frontier
@@ -248,7 +253,7 @@ type FrontierPool struct {
 func NewFrontierPool(n Index) *FrontierPool {
 	p := &FrontierPool{n: n}
 	p.pool.New = func() any {
-		return &Frontier{bits: NewBitVec(n), home: p}
+		return &Frontier{home: p}
 	}
 	return p
 }
@@ -266,9 +271,9 @@ func (p *FrontierPool) Wrap(x *SpVec) *Frontier {
 }
 
 // GetOutput borrows an empty pooled output frontier: its list storage
-// is private (recycled with the frontier) and its bitmap comes
-// pre-allocated at the pool's dimension, so a steady-state pipeline of
-// MultiplyInto calls allocates nothing.
+// and, once first demanded, its bitmap are private and recycled with
+// the frontier, so a steady-state pipeline of multiplies into it
+// allocates nothing.
 func (p *FrontierPool) GetOutput() *Frontier {
 	f := p.pool.Get().(*Frontier)
 	if f.list == nil {

@@ -1,10 +1,13 @@
 // Package testutil provides deterministic random inputs shared by the
-// test suites of the algorithm packages.
+// test suites of the algorithm packages, and list-vector shorthands for
+// driving an engine's frontier multiplies.
 package testutil
 
 import (
 	"math/rand"
 
+	"spmspv/internal/engine"
+	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 )
 
@@ -55,4 +58,30 @@ func VectorWithIndices(n sparse.Index, ind ...sparse.Index) *sparse.SpVec {
 		v.Append(i, 1)
 	}
 	return v
+}
+
+// Multiply runs e's unmasked multiply on list vectors: x is wrapped in
+// a fresh frontier and the result lands, list only, in y's storage.
+func Multiply(e engine.Engine, x, y *sparse.SpVec, sr semiring.Semiring) {
+	MultiplyMasked(e, x, y, sr, nil, false)
+}
+
+// MultiplyMasked is Multiply with an output mask.
+func MultiplyMasked(e engine.Engine, x, y *sparse.SpVec, sr semiring.Semiring, mask *sparse.BitVec, complement bool) {
+	e.Multiply(sparse.NewFrontier(x), sparse.NewFrontier(y), sr, mask, complement, false)
+}
+
+// MultiplyBatch runs e's unmasked batch multiply on list vectors, list
+// outputs landing in the ys' storage.
+func MultiplyBatch(e engine.Engine, xs, ys []*sparse.SpVec, sr semiring.Semiring) {
+	e.MultiplyBatch(Frontiers(xs), Frontiers(ys), sr, nil, false, false)
+}
+
+// Frontiers wraps each vector as a frontier.
+func Frontiers(vs []*sparse.SpVec) []*sparse.Frontier {
+	fs := make([]*sparse.Frontier, len(vs))
+	for q, v := range vs {
+		fs[q] = sparse.NewFrontier(v)
+	}
+	return fs
 }

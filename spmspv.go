@@ -16,7 +16,7 @@ import (
 
 	// The engine implementations register themselves with the
 	// internal/engine registry from init; importing them is what makes
-	// every Algorithm constructible through NewWithAlgorithm. hybrid is
+	// every Algorithm constructible through NewMultiplier. hybrid is
 	// additionally imported by name for the calibration-cache helpers.
 	"spmspv/internal/hybrid"
 
@@ -51,11 +51,9 @@ type (
 	// Frontier is a sparse vector carried in whichever representation
 	// the consuming engine prefers (list or bitmap), with the bitmap
 	// materialized lazily at most once and shared across consumers.
-	// Frontiers are also the engines' output format (Mult): output-
-	// capable engines emit list and bitmap in one pass.
+	// Frontiers are also the engines' output format (Mult): bucket,
+	// GraphMat and Hybrid emit list and bitmap in one pass.
 	Frontier = sparse.Frontier
-	// Rep identifies a frontier representation (list or bitmap).
-	Rep = engine.Rep
 	// Desc is the GraphBLAS-style descriptor that parameterizes Mult
 	// and MultBatch: mask + complement, accumulate, transpose (left
 	// multiplication), requested output representation, batch width and
@@ -203,7 +201,7 @@ const (
 )
 
 // Algorithms returns the registered algorithm identifiers in ascending
-// order — everything constructible through NewWithAlgorithm.
+// order — everything constructible through NewMultiplier.
 func Algorithms() []Algorithm { return engine.Registered() }
 
 // ParseAlgorithm resolves an algorithm name — a registered name
@@ -260,15 +258,16 @@ type Multiplier struct {
 	alg Algorithm
 	opt Options
 
-	// plans caches one compiled engine.Plan per descriptor shape: the
-	// capability negotiation (which optional engine extensions exist,
-	// how to degrade) runs once per shape, not once per call.
+	// plans caches one compiled engine.Plan per descriptor shape, so
+	// the shape handling is resolved once per shape, not once per call.
 	plans sync.Map // engine.Shape → *engine.Plan
 
 	leftOnce sync.Once
 	left     *Multiplier // lazily built Aᵀ engine for Desc.Transpose
 
-	accumPool sync.Pool // *Vector scratch for MultiplyAccumInto
+	// inputs recycles the input frontiers the serving paths wrap each
+	// request vector in (see wrapInput).
+	inputs *sparse.FrontierPool
 }
 
 // Option configures NewMultiplier. Options compose left to right;
@@ -322,12 +321,11 @@ func WithCalibrationCache(path string, recalibrate bool) Option {
 }
 
 // NewMultiplier returns a multiplier for a, configured by functional
-// options. Unlike the deprecated NewWithAlgorithm — whose documented
-// wart was a SILENT fallback to the Bucket engine when the requested
-// algorithm had no registered constructor — construction reports
-// failure: an unregistered algorithm (usually a missing import of the
-// implementing package) or a nil matrix is an error, not a different
-// engine than the one asked for.
+// options. Construction reports failure: an unregistered algorithm
+// (usually a missing import of the implementing package) or a nil
+// matrix is an error, not a different engine than the one asked for.
+// For the row-split baselines the matrix partitioning is performed
+// here ("preprocessing"), as in the original systems.
 func NewMultiplier(a *Matrix, opts ...Option) (*Multiplier, error) {
 	if a == nil {
 		return nil, errors.New("spmspv: NewMultiplier with nil matrix")
@@ -340,43 +338,8 @@ func NewMultiplier(a *Matrix, opts ...Option) (*Multiplier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spmspv: constructing engine: %w", err)
 	}
-	return &Multiplier{a: a, eng: eng, alg: cfg.alg, opt: cfg.opt}, nil
-}
-
-// New returns a bucket-algorithm multiplier for a with the given
-// options.
-//
-// Deprecated: use NewMultiplier(a, WithEngineOptions(opt)).
-func New(a *Matrix, opt Options) *Multiplier {
-	return NewWithAlgorithm(a, Bucket, opt)
-}
-
-// NewWithAlgorithm returns a multiplier running the selected algorithm,
-// constructed through the engine registry. threads ≤ 0 means
-// GOMAXPROCS; for the row-split baselines the matrix partitioning is
-// performed here, at construction ("preprocessing"), as in the
-// original systems.
-//
-// Fallback contract: an Algorithm value with no registered constructor
-// SILENTLY falls back to the Bucket engine — the returned multiplier
-// reports Algorithm() == Bucket, which is how callers detect that the
-// fallback fired. Use ParseAlgorithm to validate names before
-// construction.
-//
-// Deprecated: use NewMultiplier(a, WithAlgorithm(alg),
-// WithEngineOptions(opt)), which reports an unregistered algorithm as
-// an error instead of silently constructing a different engine.
-func NewWithAlgorithm(a *Matrix, alg Algorithm, opt Options) *Multiplier {
-	m, err := NewMultiplier(a, WithAlgorithm(alg), WithEngineOptions(opt))
-	if err != nil {
-		m, err = NewMultiplier(a, WithEngineOptions(opt))
-		if err != nil {
-			// The bucket engine is always registered via this package's
-			// core import; reaching here means a broken build.
-			panic(err)
-		}
-	}
-	return m
+	return &Multiplier{a: a, eng: eng, alg: cfg.alg, opt: cfg.opt,
+		inputs: sparse.NewFrontierPool(a.NumCols)}, nil
 }
 
 // Mult is the single descriptor-driven multiply: y ← ⟨op(A)·x, mask⟩
@@ -387,11 +350,10 @@ func NewWithAlgorithm(a *Matrix, alg Algorithm, opt Options) *Multiplier {
 // representation. The zero Desc is a plain multiply with the engine's
 // richest native output.
 //
-// Capability negotiation runs off the hot path: the plan for each
-// descriptor shape — which optional engine interfaces exist and how to
-// degrade — is compiled once per Multiplier and cached, so steady-state
-// calls perform no type assertions. A zero-valued sr resolves
-// d.Semiring by name (the wire form); an explicit sr always wins.
+// Shape handling runs off the hot path: the plan for each descriptor
+// shape is compiled once per Multiplier and cached. A zero-valued sr
+// resolves d.Semiring by name (the wire form); an explicit sr always
+// wins.
 //
 // Mult panics on an inconsistent descriptor (Complement without a
 // mask, an unresolvable semiring) exactly as the slice-length checks
@@ -443,10 +405,32 @@ func (m *Multiplier) planFor(s engine.Shape) *engine.Plan {
 // and options, building it exactly once — concurrent first callers
 // block until it is ready.
 func (m *Multiplier) transposed() *Multiplier {
-	m.leftOnce.Do(func() {
-		m.left = NewWithAlgorithm(m.a.Transpose(), m.alg, m.opt)
-	})
+	m.leftOnce.Do(func() { m.left = m.rebind(m.a.Transpose()) })
 	return m.left
+}
+
+// rebind returns a multiplier running m's algorithm and options over b
+// (the transpose, a self-loop-stripped copy). m's algorithm is
+// registered — it constructed m — so construction cannot fail.
+func (m *Multiplier) rebind(b *Matrix) *Multiplier {
+	r, err := NewMultiplier(b, WithAlgorithm(m.alg), WithEngineOptions(m.opt))
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// wrapInput borrows a pooled input frontier holding x for a multiply
+// by op(A) — Aᵀ under transpose. The serving paths wrap every request
+// vector this way, so a bitmap-reading engine (GraphMat, Hybrid's
+// matrix-driven side) reuses one pooled O(n) bitmap per concurrent
+// request instead of allocating one per request. The caller Releases
+// the frontier once the multiply has returned.
+func (m *Multiplier) wrapInput(x *Vector, transpose bool) *Frontier {
+	if transpose {
+		return m.transposed().inputs.Wrap(x)
+	}
+	return m.inputs.Wrap(x)
 }
 
 // resolveSemiring applies the precedence rule: an explicit semiring
@@ -466,34 +450,15 @@ func resolveSemiring(sr Semiring, d Desc) Semiring {
 	return named
 }
 
-// Multiply computes and returns y ← A·x over sr.
-//
-// Deprecated: use Mult with a zero Desc (or MultiplyInto when only a
-// list vector is wanted); Multiply remains for one-shot callers.
-func (m *Multiplier) Multiply(x *Vector, sr Semiring) *Vector {
-	y := sparse.NewSpVec(0, 0)
-	m.eng.Multiply(x, y, sr)
-	return y
-}
-
-// MultiplyInto computes y ← A·x over sr, reusing y's storage.
-//
-// Deprecated: use Mult with a zero Desc. MultiplyInto is the bare
-// list-vector primitive underneath it and stays as the thin back-compat
-// wrapper.
-func (m *Multiplier) MultiplyInto(x, y *Vector, sr Semiring) {
-	m.eng.Multiply(x, y, sr)
-}
-
-// NewFrontier wraps a list-format vector as a Frontier. Feed it to
-// MultiplyFrontierInto (possibly across several multipliers) so that a
-// bitmap-preferring engine's list→bitmap conversion runs at most once
-// per frontier instead of once per call.
+// NewFrontier wraps a list-format vector as a Frontier. Feed it to Mult
+// (possibly across several multipliers) so that a bitmap-preferring
+// engine's list→bitmap conversion runs at most once per frontier
+// instead of once per call.
 func NewFrontier(x *Vector) *Frontier { return sparse.NewFrontier(x) }
 
 // NewOutputFrontier returns an empty frontier of dimension n with
-// private list storage, ready to receive a result from
-// MultiplyFrontier. Frontier pipelines (see BFS) keep two of these and
+// private list storage, ready to receive a result from Mult. Frontier
+// pipelines (see BFS) keep two of these and
 // swap them, allocating nothing per iteration.
 func NewOutputFrontier(n Index) *Frontier { return sparse.NewOutputFrontier(n) }
 
@@ -501,121 +466,6 @@ func NewOutputFrontier(n Index) *Frontier { return sparse.NewOutputFrontier(n) }
 // multiplier's results (the matrix's row dimension).
 func (m *Multiplier) NewOutputFrontier() *Frontier {
 	return sparse.NewOutputFrontier(m.a.NumRows)
-}
-
-// MultiplyFrontierInto computes y ← A·x over sr reading whichever
-// representation of the frontier this multiplier's engine prefers —
-// the list for the vector-driven engines, the shared lazily-built
-// bitmap for GraphMat (and the Hybrid engine's matrix-driven calls).
-// Engines without frontier support read the list.
-//
-// Deprecated: use Mult with Desc{Output: OutputList} and read the
-// output frontier's List.
-func (m *Multiplier) MultiplyFrontierInto(x *Frontier, y *Vector, sr Semiring) {
-	if fe, ok := m.eng.(engine.FrontierEngine); ok {
-		fe.MultiplyFrontier(x, y, sr)
-		return
-	}
-	m.eng.Multiply(x.List(), y, sr)
-}
-
-// MultiplyFrontier computes y ← A·x over sr with frontier-form output:
-// the result lands in the output frontier's list, and engines with
-// native output support (Bucket, GraphMat, Hybrid) emit the bitmap
-// representation in the same pass.
-//
-// Deprecated: use Mult with a zero Desc — identical semantics through
-// the cached plan.
-func (m *Multiplier) MultiplyFrontier(x, y *Frontier, sr Semiring) {
-	m.Mult(x, y, sr, Desc{})
-}
-
-// MultiplyFrontierMasked computes y ← ⟨A·x, mask⟩ with frontier-form
-// output: the mask is pushed into the engine's merge/accumulate step
-// and the surviving result is emitted exactly as in MultiplyFrontier.
-//
-// Deprecated: use Mult with Desc{Mask: mask, Complement: complement}.
-func (m *Multiplier) MultiplyFrontierMasked(x, y *Frontier, sr Semiring, mask *BitVector, complement bool) {
-	m.Mult(x, y, sr, Desc{Mask: mask, Complement: complement})
-}
-
-// OutputRep reports the representation this multiplier's engine emits
-// natively into output frontiers: "bitmap" means MultiplyFrontier
-// populates list and bitmap in one pass, "list" means the bitmap is
-// built lazily (and counted) if demanded.
-func (m *Multiplier) OutputRep() engine.Rep { return engine.OutputRepOf(m.eng) }
-
-// MultiplyBatch computes ys[q] ← A·xs[q] for a batch of input vectors
-// over sr, reusing the ys' storage (len(xs) must equal len(ys), and
-// the ys must be pairwise distinct). Engines with a native batch path
-// — the Bucket engine shares one Estimate/bucket-sizing pass across
-// the batch; the Hybrid engine routes each frontier by density — run
-// it; every other engine runs an equivalent loop of Multiply calls.
-// Results are always exactly those of the loop.
-//
-// Deprecated: use MultBatch with a zero Desc (wrap the vectors with
-// NewFrontier / NewOutputFrontier).
-func (m *Multiplier) MultiplyBatch(xs, ys []*Vector, sr Semiring) {
-	engine.MultiplyBatch(m.eng, xs, ys, sr)
-}
-
-// MultiplyMasked computes y ← ⟨A·x, mask⟩ with the mask pushed down
-// into the engine's merge/accumulate step — every registered engine
-// (Bucket, the four baselines and Hybrid) implements the masked
-// extension, so masked graph algorithms compare all of them. An
-// unregistered engine without mask support would get a plain product
-// filtered afterwards.
-//
-// Deprecated: use Mult with Desc{Mask: mask, Complement: complement}.
-func (m *Multiplier) MultiplyMasked(x, y *Vector, sr Semiring, mask *BitVector, complement bool) {
-	if bm, ok := m.eng.(engine.MaskedEngine); ok {
-		bm.MultiplyMasked(x, y, sr, mask, complement)
-		return
-	}
-	m.eng.Multiply(x, y, sr)
-	sparse.FilterMaskInPlace(y, mask, complement)
-}
-
-// MultiplyLeft computes the row-vector product yᵀ ← xᵀ·A, the "left
-// multiplication" of paper §II-A ("the algorithms we present can be
-// trivially adopted to the left multiplication case"): it equals Aᵀ·x,
-// so an engine bound to the cached transpose runs the same algorithm.
-// The transpose and its engine are built exactly once, on first use —
-// concurrent first callers block until it is ready — and reused.
-//
-// Deprecated: use Mult with Desc{Transpose: true}.
-func (m *Multiplier) MultiplyLeft(x *Vector, sr Semiring) *Vector {
-	return m.transposed().Multiply(x, sr)
-}
-
-// MultiplyAccum computes y ← accum ⊕ (A·x) where ⊕ is the semiring's
-// Add — the GraphBLAS accumulate pattern. accum is not modified.
-//
-// Deprecated: use Mult with Desc{Accum: true} — the output frontier's
-// prior contents are the accumulator.
-func (m *Multiplier) MultiplyAccum(x, accum *Vector, sr Semiring) *Vector {
-	y := sparse.NewSpVec(0, 0)
-	m.MultiplyAccumInto(x, accum, y, sr)
-	return y
-}
-
-// MultiplyAccumInto computes y ← accum ⊕ (A·x) reusing y's storage —
-// the accumulate for iterative callers (y must not alias accum or x).
-// The intermediate product is drawn from an internal pool; with
-// Options.SortOutput set and a sorted accum the union is a linear
-// merge, so a steady-state loop of calls allocates only when the
-// output outgrows y's capacity (unsorted inputs fall back to a
-// map-based union).
-//
-// Deprecated: use Mult with Desc{Accum: true}.
-func (m *Multiplier) MultiplyAccumInto(x, accum, y *Vector, sr Semiring) {
-	prod, _ := m.accumPool.Get().(*Vector)
-	if prod == nil {
-		prod = sparse.NewSpVec(0, 0)
-	}
-	m.eng.Multiply(x, prod, sr)
-	sparse.EwiseAddInto(y, prod, accum, sr.Add)
-	m.accumPool.Put(prod)
 }
 
 // Algorithm reports which engine this multiplier runs.
@@ -630,12 +480,6 @@ func (m *Multiplier) Counters() Counters { return m.eng.Counters() }
 
 // ResetCounters zeroes the work counters.
 func (m *Multiplier) ResetCounters() { m.eng.ResetCounters() }
-
-// Multiply is the one-shot convenience: y ← A·x with the bucket
-// algorithm over the arithmetic semiring.
-func Multiply(a *Matrix, x *Vector, opt Options) *Vector {
-	return New(a, opt).Multiply(x, Arithmetic)
-}
 
 // BFS runs a breadth-first search from source over the multiplier's
 // matrix (columns are out-neighbor lists) and returns parents, levels
@@ -656,8 +500,8 @@ func BFSMasked(m *Multiplier, source Index) *BFSResult {
 
 // MultiBFS runs one breadth-first search per source concurrently,
 // expanding all live frontiers of a level through one batched multiply
-// (see Multiplier.MultiplyBatch). The trees are identical to running
-// BFS per source; the batch amortizes per-call engine setup across the
+// (see Multiplier.MultBatch). The trees are identical to running BFS
+// per source; the batch amortizes per-call engine setup across the
 // sources.
 func MultiBFS(m *Multiplier, sources []Index) *MultiBFSResult {
 	return algorithms.MultiBFS(m.eng, m.a.NumCols, sources, false)
@@ -704,7 +548,7 @@ func ConnectedComponents(m *Multiplier) []Index {
 func MaximalIndependentSet(m *Multiplier, seed int64) []bool {
 	eng := m.eng
 	if m.a.HasSelfLoops() {
-		eng = NewWithAlgorithm(sparse.StripSelfLoops(m.a), m.alg, m.opt).eng
+		eng = m.rebind(sparse.StripSelfLoops(m.a)).eng
 	}
 	return algorithms.MaximalIndependentSet(eng, m.a.NumCols, seed)
 }
@@ -733,7 +577,7 @@ func LocalCluster(m *Multiplier, seed Index, opt ACLOptions) *ACLResult {
 
 // MultiCluster runs the ACL push algorithm from k seeds in lockstep,
 // expanding all live push frontiers of a round through one batched
-// multiply (see Multiplier.MultiplyBatch). Results are identical to
+// multiply (see Multiplier.MultBatch). Results are identical to
 // running LocalCluster per seed; the batch amortizes per-call engine
 // setup across the seeds' small push frontiers.
 func MultiCluster(m *Multiplier, seeds []Index, opt ACLOptions) []*ACLResult {
@@ -745,8 +589,7 @@ func MultiCluster(m *Multiplier, seeds []Index, opt ACLOptions) []*ACLResult {
 // two vertex sides). The transposed engine needed for the backward
 // rounds is built internally with the same algorithm and options.
 func MaximalMatching(m *Multiplier) (rowMate, colMate []Index) {
-	mt := NewWithAlgorithm(m.a.Transpose(), m.alg, m.opt)
-	return algorithms.MaximalMatching(m.eng, mt.eng, m.a.NumRows, m.a.NumCols)
+	return algorithms.MaximalMatching(m.eng, m.transposed().eng, m.a.NumRows, m.a.NumCols)
 }
 
 // Element-wise vector operations (GraphBLAS-style combinators).

@@ -1,5 +1,5 @@
 // Tests for the frontier/batch surface of the facade and the
-// ParseAlgorithm / NewWithAlgorithm contracts.
+// ParseAlgorithm contract.
 package spmspv_test
 
 import (
@@ -47,27 +47,9 @@ func TestParseAlgorithmAliasesAndUnknown(t *testing.T) {
 	}
 }
 
-// TestNewWithAlgorithmFallback pins the documented silent-fallback
-// contract: an unregistered Algorithm value builds a Bucket multiplier
-// that reports Algorithm() == Bucket.
-func TestNewWithAlgorithmFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := testutil.RandomCSC(rng, 100, 100, 3)
-	mu := spmspv.NewWithAlgorithm(a, spmspv.Algorithm(999), spmspv.Options{Threads: 1, SortOutput: true})
-	if mu.Algorithm() != spmspv.Bucket {
-		t.Fatalf("fallback multiplier reports %v, want Bucket", mu.Algorithm())
-	}
-	x := testutil.RandomVector(rng, 100, 20, true)
-	want := spmspv.NewWithAlgorithm(a, spmspv.Bucket, spmspv.Options{Threads: 1, SortOutput: true}).
-		Multiply(x, spmspv.Arithmetic)
-	if got := mu.Multiply(x, spmspv.Arithmetic); !got.EqualValues(want, 0) {
-		t.Error("fallback multiplier does not behave as Bucket")
-	}
-}
-
 // TestMultiplyBatchEquivalentToLoopEveryEngine is the batch-layer
-// property test: for EVERY registered engine, MultiplyBatch must equal
-// a loop of Multiply calls across batch shapes, semirings and input
+// property test: for EVERY registered engine, MultBatch must equal a
+// loop of Mult calls across batch shapes, semirings and input
 // densities (empty frontiers included).
 func TestMultiplyBatchEquivalentToLoopEveryEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -79,22 +61,21 @@ func TestMultiplyBatchEquivalentToLoopEveryEngine(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			// A fixed threshold keeps the hybrid deterministic (both its
 			// directions are covered by the density spread below).
-			mu := spmspv.NewWithAlgorithm(a, alg,
+			mu := newMult(t, a, alg,
 				spmspv.Options{Threads: 2, SortOutput: true, HybridThreshold: 0.1})
 			for _, k := range []int{1, 2, 5, 9} {
-				xs := make([]*spmspv.Vector, k)
-				ys := make([]*spmspv.Vector, k)
+				xs := make([]*spmspv.Frontier, k)
+				ys := make([]*spmspv.Frontier, k)
 				for q := 0; q < k; q++ {
 					f := (q * 97) % 300 // spreads 0 … dense across the batch
-					xs[q] = testutil.RandomVector(rng, 400, f, true)
-					ys[q] = spmspv.NewVector(0, 0)
+					xs[q] = spmspv.NewFrontier(testutil.RandomVector(rng, 400, f, true))
+					ys[q] = mu.NewOutputFrontier()
 				}
 				for _, sr := range srs {
-					mu.MultiplyBatch(xs, ys, sr)
+					mu.MultBatch(xs, ys, sr, spmspv.Desc{})
 					for q := 0; q < k; q++ {
-						want := spmspv.NewVector(0, 0)
-						mu.MultiplyInto(xs[q], want, sr)
-						if !ys[q].EqualValues(want, 1e-9) {
+						want := mult(mu, xs[q].List(), sr, spmspv.Desc{})
+						if !ys[q].List().EqualValues(want, 1e-9) {
 							t.Fatalf("k=%d sr=%s frontier %d: batch ≠ loop", k, sr.Name, q)
 						}
 					}
@@ -105,8 +86,8 @@ func TestMultiplyBatchEquivalentToLoopEveryEngine(t *testing.T) {
 }
 
 // TestMultiplyBatchConcurrentShared hammers ONE shared Multiplier with
-// concurrent MultiplyBatch calls (meaningful under -race): the batch
-// path borrows pooled workspaces exactly like single multiplies.
+// concurrent MultBatch calls (meaningful under -race): the batch path
+// borrows pooled workspaces exactly like single multiplies.
 func TestMultiplyBatchConcurrentShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := testutil.RandomCSC(rng, 500, 500, 5)
@@ -115,14 +96,16 @@ func TestMultiplyBatchConcurrentShared(t *testing.T) {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			mu := spmspv.NewWithAlgorithm(a, alg,
+			// Parallel subtests must not share the outer rng.
+			rng := rand.New(rand.NewSource(23 + int64(alg)))
+			mu := newMult(t, a, alg,
 				spmspv.Options{Threads: 2, SortOutput: true, HybridThreshold: 0.1})
 			const k = 4
 			xs := make([]*spmspv.Vector, k)
 			want := make([]*spmspv.Vector, k)
 			for q := 0; q < k; q++ {
 				xs[q] = testutil.RandomVector(rng, 500, 10+q*60, true)
-				want[q] = mu.Multiply(xs[q], spmspv.Arithmetic)
+				want[q] = mult(mu, xs[q], spmspv.Arithmetic, spmspv.Desc{})
 			}
 			var wg sync.WaitGroup
 			errs := make([]string, 8)
@@ -130,14 +113,15 @@ func TestMultiplyBatchConcurrentShared(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					ys := make([]*spmspv.Vector, k)
+					xfs := testutil.Frontiers(xs)
+					ys := make([]*spmspv.Frontier, k)
 					for q := range ys {
-						ys[q] = spmspv.NewVector(0, 0)
+						ys[q] = mu.NewOutputFrontier()
 					}
 					for rep := 0; rep < 15; rep++ {
-						mu.MultiplyBatch(xs, ys, spmspv.Arithmetic)
+						mu.MultBatch(xfs, ys, spmspv.Arithmetic, spmspv.Desc{})
 						for q := range ys {
-							if !ys[q].EqualValues(want[q], 1e-9) {
+							if !ys[q].List().EqualValues(want[q], 1e-9) {
 								errs[g] = "batch result mismatch under concurrency"
 								return
 							}
@@ -164,19 +148,21 @@ func TestMultiplyFrontierInto(t *testing.T) {
 	x := testutil.RandomVector(rng, 300, 60, true)
 	fr := spmspv.NewFrontier(x)
 
-	bucket := spmspv.NewWithAlgorithm(a, spmspv.Bucket, spmspv.Options{Threads: 2, SortOutput: true})
-	gm := spmspv.NewWithAlgorithm(a, spmspv.GraphMat, spmspv.Options{Threads: 2})
-	want := bucket.Multiply(x, spmspv.Arithmetic)
+	bucket := newMult(t, a, spmspv.Bucket, spmspv.Options{Threads: 2, SortOutput: true})
+	gm := newMult(t, a, spmspv.GraphMat, spmspv.Options{Threads: 2})
+	want := mult(bucket, x, spmspv.Arithmetic, spmspv.Desc{})
 
 	y := spmspv.NewVector(0, 0)
-	bucket.MultiplyFrontierInto(fr, y, spmspv.Arithmetic)
+	yf := spmspv.NewFrontier(y)
+	list := spmspv.Desc{Output: spmspv.OutputList}
+	bucket.Mult(fr, yf, spmspv.Arithmetic, list)
 	if !y.EqualValues(want, 1e-9) {
 		t.Error("bucket frontier multiply differs")
 	}
 
 	sparse.ResetFrontierConversions()
-	gm.MultiplyFrontierInto(fr, y, spmspv.Arithmetic)
-	gm.MultiplyFrontierInto(fr, y, spmspv.Arithmetic) // second call: bitmap shared
+	gm.Mult(fr, yf, spmspv.Arithmetic, list)
+	gm.Mult(fr, yf, spmspv.Arithmetic, list) // second call: bitmap shared
 	if !y.EqualValues(want, 1e-9) {
 		t.Error("GraphMat frontier multiply differs")
 	}
@@ -194,7 +180,7 @@ func TestMultiBFSFacade(t *testing.T) {
 	a := spmspv.RMAT(spmspv.DefaultRMAT(9), 6)
 	sources := []spmspv.Index{0, 7, a.NumCols / 2}
 	for _, alg := range []spmspv.Algorithm{spmspv.Bucket, spmspv.Hybrid} {
-		mu := spmspv.NewWithAlgorithm(a, alg,
+		mu := newMult(t, a, alg,
 			spmspv.Options{Threads: 2, SortOutput: true, HybridThreshold: 0.1})
 		res := spmspv.MultiBFS(mu, sources)
 		for s, src := range sources {

@@ -35,7 +35,7 @@ func TestConcurrentMultiplySharedMultiplier(t *testing.T) {
 			// Parallel subtests must not share the outer rng: give each
 			// its own deterministically seeded source.
 			rng := rand.New(rand.NewSource(42 + int64(alg)))
-			mu := spmspv.NewWithAlgorithm(a, alg, spmspv.Options{Threads: 2, SortOutput: true})
+			mu := newMult(t, a, alg, spmspv.Options{Threads: 2, SortOutput: true})
 
 			// Pre-build inputs and expected outputs serially so the
 			// parallel phase races only the multiplier.
@@ -72,23 +72,25 @@ func TestConcurrentMultiplySharedMultiplier(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					y := spmspv.NewVector(0, 0)
+					yf := spmspv.NewFrontier(y)
 					for it := 0; it < iters; it++ {
 						tc := &cases[(g+it)%len(cases)]
+						xf := spmspv.NewFrontier(tc.x)
 						switch it % 3 {
 						case 0:
-							mu.MultiplyInto(tc.x, y, spmspv.Arithmetic)
+							mu.Mult(xf, yf, spmspv.Arithmetic, spmspv.Desc{Output: spmspv.OutputList})
 							if !y.EqualValues(tc.want, 1e-9) {
 								errs <- "plain multiply diverged from reference under concurrency"
 								return
 							}
 						case 1:
-							mu.MultiplyMasked(tc.x, y, spmspv.Arithmetic, tc.mask, false)
+							mu.Mult(xf, yf, spmspv.Arithmetic, spmspv.Desc{Mask: tc.mask, Output: spmspv.OutputList})
 							if !y.EqualValues(tc.wantMasked, 1e-9) {
 								errs <- "masked multiply diverged from reference under concurrency"
 								return
 							}
 						case 2:
-							yl := mu.MultiplyLeft(tc.x, spmspv.Arithmetic)
+							yl := mult(mu, tc.x, spmspv.Arithmetic, spmspv.Desc{Transpose: true})
 							if !yl.EqualValues(tc.wantLeft, 1e-9) {
 								errs <- "left multiply diverged from reference under concurrency"
 								return
@@ -139,41 +141,32 @@ func TestAllAlgorithmsConstructThroughRegistry(t *testing.T) {
 			t.Errorf("registry name for %v = %q, want %q", alg, eng.Name(), names[alg])
 		}
 		y := spmspv.NewVector(0, 0)
-		eng.Multiply(x, y, spmspv.Arithmetic)
+		testutil.Multiply(eng, x, y, spmspv.Arithmetic)
 		if !y.EqualValues(want, 1e-9) {
 			t.Errorf("%v: registry-constructed engine mismatch vs reference", alg)
 		}
 	}
 }
 
-// TestMultiplyAccumInto exercises the allocation-reusing accumulate:
-// repeated calls must agree with the allocating MultiplyAccum and reuse
-// the caller's output storage once it has grown.
+// TestMultiplyAccumInto exercises the accumulate through Mult across
+// trials of growing inputs: accumulating into a frontier that holds a
+// copy of accum must give the oracle union accum ⊕ A·x.
 func TestMultiplyAccumInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := testutil.RandomCSC(rng, 300, 300, 5)
-	mu := spmspv.New(a, spmspv.Options{Threads: 2, SortOutput: true})
+	mu := newMult(t, a, spmspv.Bucket, spmspv.Options{Threads: 2, SortOutput: true})
 
 	accum := testutil.RandomVector(rng, 300, 50, true)
-	y := spmspv.NewVector(0, 0)
 	for trial := 0; trial < 10; trial++ {
 		x := testutil.RandomVector(rng, 300, 30+trial*20, true)
-		want := mu.MultiplyAccum(x, accum, spmspv.Arithmetic)
-		mu.MultiplyAccumInto(x, accum, y, spmspv.Arithmetic)
-		if !y.EqualValues(want, 1e-12) {
-			t.Fatalf("trial %d: MultiplyAccumInto differs from MultiplyAccum", trial)
+		want := spmspv.EwiseAdd(baselines.Reference(a, x, spmspv.Arithmetic), accum, spmspv.Arithmetic.Add)
+		yf := spmspv.NewFrontier(accum.Clone())
+		mu.Mult(spmspv.NewFrontier(x), yf, spmspv.Arithmetic, spmspv.Desc{Accum: true})
+		if !yf.List().EqualValues(want, 1e-12) {
+			t.Fatalf("trial %d: accumulated Mult differs from accum ⊕ A·x", trial)
 		}
-		if err := y.Validate(); err != nil {
+		if err := yf.List().Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// Steady state: with capacity established, the into-variant must not
-	// replace the caller's slices.
-	mu.MultiplyAccumInto(accum, accum, y, spmspv.Arithmetic)
-	indBefore := &y.Ind[:1][0]
-	mu.MultiplyAccumInto(accum, accum, y, spmspv.Arithmetic)
-	if indBefore != &y.Ind[:1][0] {
-		t.Error("MultiplyAccumInto reallocated the output despite sufficient capacity")
 	}
 }

@@ -74,20 +74,20 @@ func TestMultiplyFrontierMatchesMultiply(t *testing.T) {
 		want := baselines.Reference(a, x, sr)
 
 		for _, alg := range spmspv.Algorithms() {
-			mu := spmspv.NewWithAlgorithm(a, alg, engineOptions(1+trial%4))
-			plain := mu.Multiply(x, sr)
+			mu := newMult(t, a, alg, engineOptions(1+trial%4))
+			plain := mult(mu, x, sr, spmspv.Desc{Output: spmspv.OutputList})
 			if !plain.EqualValues(want, 1e-9) {
-				t.Fatalf("trial %d %v: Multiply diverged from oracle", trial, alg)
+				t.Fatalf("trial %d %v: list-output Mult diverged from oracle", trial, alg)
 			}
 			xf := spmspv.NewFrontier(x)
 			yf := spmspv.NewOutputFrontier(m)
-			mu.MultiplyFrontier(xf, yf, sr)
+			mu.Mult(xf, yf, sr, spmspv.Desc{})
 			if !yf.List().EqualValues(want, 1e-9) {
-				t.Fatalf("trial %d %v: MultiplyFrontier diverged from Multiply", trial, alg)
+				t.Fatalf("trial %d %v: frontier-output Mult diverged from list output", trial, alg)
 			}
 			checkBitmapMirrorsList(t, yf, alg.String())
 			// Reuse the same output frontier (the pipeline pattern).
-			mu.MultiplyFrontier(xf, yf, sr)
+			mu.Mult(xf, yf, sr, spmspv.Desc{})
 			if !yf.List().EqualValues(want, 1e-9) {
 				t.Fatalf("trial %d %v: reused output frontier diverged", trial, alg)
 			}
@@ -115,18 +115,17 @@ func TestMultiplyMaskedMatchesOracle(t *testing.T) {
 		want := maskedOracle(a, x, sr, mask, complement)
 
 		for _, alg := range spmspv.Algorithms() {
-			mu := spmspv.NewWithAlgorithm(a, alg, engineOptions(1+trial%4))
-			y := spmspv.NewVector(0, 0)
-			mu.MultiplyMasked(x, y, sr, mask, complement)
+			mu := newMult(t, a, alg, engineOptions(1+trial%4))
+			y := mult(mu, x, sr, spmspv.Desc{Mask: mask, Complement: complement, Output: spmspv.OutputList})
 			if !y.EqualValues(want, 1e-9) {
-				t.Fatalf("trial %d %v: MultiplyMasked diverged from oracle (complement=%v)",
+				t.Fatalf("trial %d %v: list-output masked Mult diverged from oracle (complement=%v)",
 					trial, alg, complement)
 			}
 			xf := spmspv.NewFrontier(x)
 			yf := spmspv.NewOutputFrontier(m)
-			mu.MultiplyFrontierMasked(xf, yf, sr, mask, complement)
+			mu.Mult(xf, yf, sr, spmspv.Desc{Mask: mask, Complement: complement})
 			if !yf.List().EqualValues(want, 1e-9) {
-				t.Fatalf("trial %d %v: MultiplyFrontierMasked diverged from oracle", trial, alg)
+				t.Fatalf("trial %d %v: frontier-output masked Mult diverged from oracle", trial, alg)
 			}
 			checkBitmapMirrorsList(t, yf, alg.String()+" (masked)")
 		}
@@ -142,9 +141,9 @@ func TestMaskedBFSAllEngines(t *testing.T) {
 	if len(algos) < 6 {
 		t.Fatalf("expected ≥ 6 registered engines, have %d", len(algos))
 	}
-	ref := spmspv.BFS(spmspv.NewWithAlgorithm(a, spmspv.Bucket, engineOptions(1)), 0)
+	ref := spmspv.BFS(newMult(t, a, spmspv.Bucket, engineOptions(1)), 0)
 	for _, alg := range algos {
-		mu := spmspv.NewWithAlgorithm(a, alg, engineOptions(2))
+		mu := newMult(t, a, alg, engineOptions(2))
 		got := spmspv.BFSMasked(mu, 0)
 		for v := range ref.Levels {
 			if got.Levels[v] != ref.Levels[v] {
@@ -176,9 +175,9 @@ func TestBFSPipelineZeroOutputConversions(t *testing.T) {
 	// A low fixed threshold guarantees the dense middle levels take the
 	// matrix-driven side (no calibration probes, no cache I/O).
 	opt := spmspv.Options{SortOutput: true, HybridThreshold: 0.02}
-	mu := spmspv.NewWithAlgorithm(a, spmspv.Hybrid, opt)
+	mu := newMult(t, a, spmspv.Hybrid, opt)
 
-	ref := spmspv.BFS(spmspv.NewWithAlgorithm(a, spmspv.Bucket, engineOptions(1)), 0)
+	ref := spmspv.BFS(newMult(t, a, spmspv.Bucket, engineOptions(1)), 0)
 
 	spmspv.ResetFrontierStats()
 	mu.ResetCounters()
@@ -226,7 +225,7 @@ func TestBFSPipelineZeroOutputConversions(t *testing.T) {
 		t.Fatal("multi-source run emitted no native output bitmaps")
 	}
 	for s, src := range sources {
-		srcRef := spmspv.BFS(spmspv.NewWithAlgorithm(a, spmspv.Bucket, engineOptions(1)), src)
+		srcRef := spmspv.BFS(newMult(t, a, spmspv.Bucket, engineOptions(1)), src)
 		for v := range srcRef.Levels {
 			if multi.Levels[s][v] != srcRef.Levels[v] {
 				t.Fatalf("multi-source pipeline source %d: level[%d] = %d, plain = %d",
@@ -238,17 +237,17 @@ func TestBFSPipelineZeroOutputConversions(t *testing.T) {
 
 // TestMultiBFSMaskedAllEngines checks the masked multi-source BFS —
 // batched per-slot masks through MultBatch — against plain BFS on
-// every registered engine (engines without native batch/mask support
-// run through the plan's degradation paths).
+// every registered engine (engines without a native batch path run
+// the shared loop helper).
 func TestMultiBFSMaskedAllEngines(t *testing.T) {
 	a := spmspv.RMAT(spmspv.DefaultRMAT(10), 13)
 	sources := []spmspv.Index{0, 5, a.NumCols / 2}
 	refs := make([]*spmspv.BFSResult, len(sources))
 	for s, src := range sources {
-		refs[s] = spmspv.BFS(spmspv.NewWithAlgorithm(a, spmspv.Bucket, engineOptions(1)), src)
+		refs[s] = spmspv.BFS(newMult(t, a, spmspv.Bucket, engineOptions(1)), src)
 	}
 	for _, alg := range spmspv.Algorithms() {
-		mu := spmspv.NewWithAlgorithm(a, alg, engineOptions(2))
+		mu := newMult(t, a, alg, engineOptions(2))
 		got := spmspv.MultiBFSMasked(mu, sources)
 		for s := range sources {
 			for v := range refs[s].Levels {
@@ -273,7 +272,7 @@ func TestConcurrentMultiplyFrontier(t *testing.T) {
 	wantMasked := maskedOracle(a, x, spmspv.Arithmetic, mask, true)
 
 	for _, alg := range spmspv.Algorithms() {
-		mu := spmspv.NewWithAlgorithm(a, alg, engineOptions(2))
+		mu := newMult(t, a, alg, engineOptions(2))
 		done := make(chan error, 8)
 		for g := 0; g < 8; g++ {
 			g := g
@@ -282,13 +281,13 @@ func TestConcurrentMultiplyFrontier(t *testing.T) {
 					xf := spmspv.NewFrontier(x)
 					yf := spmspv.NewOutputFrontier(400)
 					if (g+it)%2 == 0 {
-						mu.MultiplyFrontier(xf, yf, spmspv.Arithmetic)
+						mu.Mult(xf, yf, spmspv.Arithmetic, spmspv.Desc{})
 						if !yf.List().EqualValues(want, 1e-9) {
 							done <- errMismatch
 							return
 						}
 					} else {
-						mu.MultiplyFrontierMasked(xf, yf, spmspv.Arithmetic, mask, true)
+						mu.Mult(xf, yf, spmspv.Arithmetic, spmspv.Desc{Mask: mask, Complement: true})
 						if !yf.List().EqualValues(wantMasked, 1e-9) {
 							done <- errMismatch
 							return

@@ -23,13 +23,35 @@ func exampleMatrix(t *testing.T) *spmspv.Matrix {
 	return a
 }
 
+// newMult builds a multiplier running alg with opt, failing the test
+// on a construction error.
+func newMult(tb testing.TB, a *spmspv.Matrix, alg spmspv.Algorithm, opt spmspv.Options) *spmspv.Multiplier {
+	tb.Helper()
+	mu, err := spmspv.NewMultiplier(a, spmspv.WithAlgorithm(alg), spmspv.WithEngineOptions(opt))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mu
+}
+
+// mult runs one Mult on a list vector and returns the product's list.
+func mult(mu *spmspv.Multiplier, x *spmspv.Vector, sr spmspv.Semiring, d spmspv.Desc) *spmspv.Vector {
+	y := spmspv.NewOutputFrontier(0)
+	mu.Mult(spmspv.NewFrontier(x), y, sr, d)
+	return y.List()
+}
+
 func TestPublicAPIQuickstart(t *testing.T) {
 	a := exampleMatrix(t)
 	x := spmspv.NewVector(4, 2)
 	x.Append(0, 10)
 	x.Append(2, 1)
 
-	y := spmspv.Multiply(a, x, spmspv.Options{SortOutput: true})
+	mu, err := spmspv.NewMultiplier(a, spmspv.WithSortOutput(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{})
 	// y = 10·col0 + 1·col2 = {1: 20, 2: 30, 3: 5}.
 	if y.NNZ() != 3 {
 		t.Fatalf("nnz(y) = %d, want 3", y.NNZ())
@@ -52,14 +74,14 @@ func TestAllAlgorithmsAgreeViaFacade(t *testing.T) {
 		spmspv.Bucket, spmspv.CombBLASSPA, spmspv.CombBLASHeap,
 		spmspv.GraphMat, spmspv.SortBased,
 	}
-	ref := spmspv.NewWithAlgorithm(a, spmspv.Bucket, spmspv.Options{Threads: 1, SortOutput: true}).
-		Multiply(x, spmspv.Arithmetic)
+	ref := mult(newMult(t, a, spmspv.Bucket, spmspv.Options{Threads: 1, SortOutput: true}),
+		x, spmspv.Arithmetic, spmspv.Desc{})
 	for _, alg := range algos {
-		mu := spmspv.NewWithAlgorithm(a, alg, spmspv.Options{Threads: 4, SortOutput: true})
+		mu := newMult(t, a, alg, spmspv.Options{Threads: 4, SortOutput: true})
 		if got := mu.Algorithm(); got != alg {
 			t.Errorf("Algorithm() = %v, want %v", got, alg)
 		}
-		y := mu.Multiply(x, spmspv.Arithmetic)
+		y := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{})
 		if !y.EqualValues(ref, 1e-9) {
 			t.Errorf("%v disagrees with reference", alg)
 		}
@@ -75,11 +97,12 @@ func TestAllAlgorithmsAgreeViaFacade(t *testing.T) {
 
 func TestFacadeMultiplyInto(t *testing.T) {
 	a := exampleMatrix(t)
-	mu := spmspv.New(a, spmspv.Options{SortOutput: true})
+	mu := newMult(t, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	x := spmspv.NewVector(4, 1)
 	x.Append(1, 2)
+	// A frontier wrapping y makes the product land in y's storage.
 	y := spmspv.NewVector(0, 0)
-	mu.MultiplyInto(x, y, spmspv.Arithmetic)
+	mu.Mult(spmspv.NewFrontier(x), spmspv.NewFrontier(y), spmspv.Arithmetic, spmspv.Desc{Output: spmspv.OutputList})
 	if y.NNZ() != 1 || y.Ind[0] != 0 || y.Val[0] != 8 {
 		t.Errorf("y = %v %v", y.Ind, y.Val)
 	}
@@ -98,13 +121,12 @@ func TestFacadeMaskedMultiply(t *testing.T) {
 	mask.SetFrom(mv)
 
 	for _, alg := range []spmspv.Algorithm{spmspv.Bucket, spmspv.GraphMat} {
-		mu := spmspv.NewWithAlgorithm(a, alg, spmspv.Options{SortOutput: true})
-		y := spmspv.NewVector(0, 0)
-		mu.MultiplyMasked(x, y, spmspv.Arithmetic, mask, false)
+		mu := newMult(t, a, alg, spmspv.Options{SortOutput: true})
+		y := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{Mask: mask})
 		if y.NNZ() != 1 || y.Ind[0] != 1 {
 			t.Errorf("%v: masked result %v %v, want {1:2}", alg, y.Ind, y.Val)
 		}
-		mu.MultiplyMasked(x, y, spmspv.Arithmetic, mask, true)
+		y = mult(mu, x, spmspv.Arithmetic, spmspv.Desc{Mask: mask, Complement: true})
 		if y.NNZ() != 1 || y.Ind[0] != 2 {
 			t.Errorf("%v: complement-masked result %v %v, want {2:3}", alg, y.Ind, y.Val)
 		}
@@ -113,7 +135,7 @@ func TestFacadeMaskedMultiply(t *testing.T) {
 
 func TestFacadeGraphAlgorithms(t *testing.T) {
 	g := spmspv.TriangularMesh(16, 16, 3)
-	mu := spmspv.New(g, spmspv.Options{SortOutput: true})
+	mu := newMult(t, g, spmspv.Bucket, spmspv.Options{SortOutput: true})
 
 	res := spmspv.BFS(mu, 0)
 	if res.Levels[0] != 0 || res.Parents[0] != 0 {
@@ -147,7 +169,7 @@ func TestFacadeGraphAlgorithms(t *testing.T) {
 	}
 
 	norm := spmspv.NormalizeColumns(g)
-	pr := spmspv.PageRank(spmspv.New(norm, spmspv.Options{}), spmspv.PageRankOptions{})
+	pr := spmspv.PageRank(newMult(t, norm, spmspv.Bucket, spmspv.Options{}), spmspv.PageRankOptions{})
 	var sum float64
 	for _, r := range pr.Ranks {
 		sum += r
@@ -205,16 +227,16 @@ func TestFacadeGenerators(t *testing.T) {
 
 func TestMultiplyLeft(t *testing.T) {
 	a := exampleMatrix(t)
-	mu := spmspv.New(a, spmspv.Options{SortOutput: true})
+	mu := newMult(t, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	// xᵀ·A with x = e_3 picks out row 3 of A: entries at cols 2 and 3.
 	x := spmspv.NewVector(4, 1)
 	x.Append(3, 1)
-	y := mu.MultiplyLeft(x, spmspv.Arithmetic)
+	y := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{Transpose: true})
 	if y.NNZ() != 2 || y.Ind[0] != 2 || y.Val[0] != 5 || y.Ind[1] != 3 || y.Val[1] != 6 {
 		t.Errorf("left product = %v %v", y.Ind, y.Val)
 	}
 	// Second call reuses the cached transpose engine.
-	y2 := mu.MultiplyLeft(x, spmspv.Arithmetic)
+	y2 := mult(mu, x, spmspv.Arithmetic, spmspv.Desc{Transpose: true})
 	if !y2.EqualValues(y, 0) {
 		t.Error("cached left engine gave a different result")
 	}
@@ -222,22 +244,21 @@ func TestMultiplyLeft(t *testing.T) {
 
 func TestMultiplyAccum(t *testing.T) {
 	a := exampleMatrix(t)
-	mu := spmspv.New(a, spmspv.Options{SortOutput: true})
+	mu := newMult(t, a, spmspv.Bucket, spmspv.Options{SortOutput: true})
 	x := spmspv.NewVector(4, 1)
 	x.Append(0, 1) // A·x = {1:2, 2:3}
 	accum := spmspv.NewVector(4, 2)
 	accum.Append(1, 10)
 	accum.Append(3, 7)
-	y := mu.MultiplyAccum(x, accum, spmspv.Arithmetic)
+	// The output frontier's prior contents are the accumulator.
+	yf := spmspv.NewFrontier(accum)
+	mu.Mult(spmspv.NewFrontier(x), yf, spmspv.Arithmetic, spmspv.Desc{Accum: true})
 	want := spmspv.NewVector(4, 3)
 	want.Append(1, 12)
 	want.Append(2, 3)
 	want.Append(3, 7)
-	if !y.EqualValues(want, 0) {
+	if y := yf.List(); !y.EqualValues(want, 0) {
 		t.Errorf("accum product = %v %v", y.Ind, y.Val)
-	}
-	if accum.NNZ() != 2 {
-		t.Error("accum input was modified")
 	}
 }
 

@@ -364,7 +364,7 @@ func (st *Store) multBatch(name string, xs []*Vector, masks []*BitVector, d Desc
 	yf := make([]*Frontier, len(xs))
 	hasMask := false
 	for q := range xs {
-		xf[q] = NewFrontier(xs[q])
+		xf[q] = mu.wrapInput(xs[q], d.Transpose)
 		yf[q] = NewOutputFrontier(outDim)
 		if masks[q] != nil {
 			hasMask = true
@@ -380,6 +380,9 @@ func (st *Store) multBatch(name string, xs []*Vector, masks []*BitVector, d Desc
 		bd.Complement = d.Complement
 	}
 	mu.MultBatch(xf, yf, Semiring{}, bd)
+	for _, f := range xf {
+		f.Release()
+	}
 	stats.ObserveBatch(len(xs))
 	ys := make([]*Vector, len(xs))
 	for q := range yf {

@@ -209,8 +209,10 @@ func (m *Multiplier) Do(req *Request) (*Response, error) {
 	}
 	resp := &Response{OutputRep: d.Output.String()}
 	if req.X != nil {
+		xf := m.wrapInput(req.X, req.Desc.Transpose)
 		yf := NewOutputFrontier(outDim)
-		m.Mult(NewFrontier(req.X), yf, Semiring{}, d)
+		m.Mult(xf, yf, Semiring{}, d)
+		xf.Release()
 		if wantBits {
 			resp.YBits = yf.Bits()
 		} else {
@@ -221,10 +223,13 @@ func (m *Multiplier) Do(req *Request) (*Response, error) {
 	xs := make([]*Frontier, len(req.Xs))
 	ys := make([]*Frontier, len(req.Xs))
 	for q, x := range req.Xs {
-		xs[q] = NewFrontier(x)
+		xs[q] = m.wrapInput(x, req.Desc.Transpose)
 		ys[q] = NewOutputFrontier(outDim)
 	}
 	m.MultBatch(xs, ys, Semiring{}, d)
+	for _, xf := range xs {
+		xf.Release()
+	}
 	if wantBits {
 		resp.YsBits = make([]*BitVector, len(ys))
 		for q, yf := range ys {

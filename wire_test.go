@@ -5,6 +5,7 @@ package spmspv_test
 import (
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,14 +118,56 @@ func TestRequestDoTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mu.MultiplyLeft(x, spmspv.Arithmetic)
+	want := descOracle(a.Transpose(), x, spmspv.Arithmetic, nil, false, nil)
 	if !resp.Y.EqualValues(want, 1e-9) {
-		t.Fatal("transposed wire request diverged from MultiplyLeft")
+		t.Fatal("transposed wire request diverged from the explicit-transpose oracle")
 	}
 }
 
 // TestRequestValidation pins the error contract: every malformed
 // request comes back as an error naming the problem, never a panic.
+// TestRequestDoPoolsInputBitmaps pins that Do wraps request vectors in
+// the multiplier's pooled input frontiers. GraphMat reads every input
+// through its O(n) bitmap, so repeated batched requests must reuse
+// pooled bitmaps rather than allocate one per slot per request, in
+// both directions. The bound is half that per-slot cost, which leaves
+// room for the pooled frontiers sync.Pool drops.
+func TestRequestDoPoolsInputBitmaps(t *testing.T) {
+	const n, slots, reps = 1 << 14, 8, 16
+	rng := rand.New(rand.NewSource(67))
+	a := testutil.RandomCSC(rng, n, n, 2)
+	mu, err := spmspv.NewMultiplier(a, spmspv.WithAlgorithm(spmspv.GraphMat), spmspv.WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transpose := range []bool{false, true} {
+		req := &spmspv.Request{
+			Xs:   make([]*spmspv.Vector, slots),
+			Desc: spmspv.Desc{Semiring: "arithmetic", Transpose: transpose},
+		}
+		for q := range req.Xs {
+			req.Xs[q] = testutil.RandomVector(rng, n, 4, true)
+		}
+		do := func() {
+			if _, err := mu.Do(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		do() // fills the pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < reps; r++ {
+			do()
+		}
+		runtime.ReadMemStats(&after)
+		perReq := (after.TotalAlloc - before.TotalAlloc) / reps
+		if bound := uint64(slots / 2 * 8 * n); perReq > bound {
+			t.Errorf("transpose=%v: %d bytes allocated per %d-slot request, want ≤ %d (input bitmaps not pooled)",
+				transpose, perReq, slots, bound)
+		}
+	}
+}
+
 func TestRequestValidation(t *testing.T) {
 	mu, a, rng := wireMultiplier(t)
 	good := testutil.RandomVector(rng, a.NumCols, 10, true)
