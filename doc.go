@@ -276,15 +276,17 @@
 // The bucket engine shares its Estimate/bucket-sizing pass, workspace
 // checkout and merge scheduling across the batch — the per-frontier
 // marginal cost approaches the pure O(df) work term, which is what the
-// sparse ramp-up levels of a multi-source BFS are dominated by — while
-// engines without a native batch path run the shared loop, which
-// still emits each slot's bitmap natively when the engine can; results
-// are always exactly those of the loop. The batched Step 3 emits every
-// slot's output bitmap natively (and per-slot masks push into the
-// batched merge), so MultiBFSMasked — one masked BFS per source, all
-// expanded through one batched call per level — is conversion-free
-// end to end, exactly like single-source BFSMasked. MultiBFS runs the
-// plain (refining) variant.
+// sparse ramp-up levels of a multi-source BFS are dominated by. Its
+// single multiply is the same k-frontier kernel run as a batch of one,
+// so every bucket option, the staging and ∞-sentinel ablations
+// included, applies to batches alike. Engines without a native batch
+// path run the shared loop, which still emits each slot's bitmap
+// natively when the engine can; results are always exactly those of
+// the loop. The batched Step 3 emits every slot's output bitmap
+// natively (and per-slot masks push into the batched merge), so
+// MultiBFSMasked — one masked BFS per source, all expanded through one
+// batched call per level — is conversion-free end to end, exactly like
+// single-source BFSMasked. MultiBFS runs the plain (refining) variant.
 //
 // # Semiring op specialization
 //

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spmspv/internal/baselines"
@@ -11,10 +13,11 @@ import (
 )
 
 // TestMultiplyBatchMatchesLoop drives the batched multiply across
-// shapes, semirings, thread counts and batch compositions (including
-// empty and duplicate-free/duplicated frontiers) and checks every
-// output against both a loop of single multiplies and the sequential
-// reference.
+// shapes, semirings, thread counts, every optionMatrix variant (the
+// staging and ∞-sentinel ablations included) and batch compositions
+// (including empty and duplicate-free/duplicated frontiers) and checks
+// every output against both a loop of single multiplies and the
+// sequential reference.
 func TestMultiplyBatchMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct {
@@ -27,10 +30,14 @@ func TestMultiplyBatchMatchesLoop(t *testing.T) {
 		{64, 1024, 2},
 	}
 	srs := []semiring.Semiring{semiring.Arithmetic, semiring.MinPlus, semiring.MinSelect2nd}
+	variants := optionMatrix()
+	variants["t1"] = Options{Threads: 1, SortOutput: true}
+	variants["t3"] = Options{Threads: 3, SortOutput: true}
+	names := slices.Sorted(maps.Keys(variants))
 	for _, sh := range shapes {
 		a := testutil.RandomCSC(rng, sh.m, sh.n, sh.d)
-		for _, threads := range []int{1, 3} {
-			mu := NewMultiplier(a, Options{Threads: threads, SortOutput: true})
+		for _, name := range names {
+			mu := NewMultiplier(a, variants[name])
 			for _, k := range []int{2, 3, 8} {
 				xs := make([]*sparse.SpVec, k)
 				ys := make([]*sparse.SpVec, k)
@@ -48,16 +55,16 @@ func TestMultiplyBatchMatchesLoop(t *testing.T) {
 					testutil.MultiplyBatch(mu, xs, ys, sr)
 					for q := 0; q < k; q++ {
 						if !ys[q].EqualValues(want[q], 1e-9) {
-							t.Fatalf("%dx%d t=%d k=%d sr=%s frontier %d: batch result differs from reference",
-								sh.m, sh.n, threads, k, sr.Name, q)
+							t.Fatalf("%dx%d %s k=%d sr=%s frontier %d: batch result differs from reference",
+								sh.m, sh.n, name, k, sr.Name, q)
 						}
 						if err := ys[q].Validate(); err != nil {
-							t.Fatalf("frontier %d: invalid output: %v", q, err)
+							t.Fatalf("%s frontier %d: invalid output: %v", name, q, err)
 						}
 						loop := sparse.NewSpVec(0, 0)
 						testutil.Multiply(mu, xs[q], loop, sr)
 						if !ys[q].EqualValues(loop, 1e-9) {
-							t.Fatalf("frontier %d: batch differs from loop-of-Multiply", q)
+							t.Fatalf("%s frontier %d: batch differs from loop-of-Multiply", name, q)
 						}
 					}
 				}
@@ -82,7 +89,9 @@ func TestMultiplyBatchAllEmpty(t *testing.T) {
 }
 
 // TestMultiplyBatchCounters checks that the batch path records the
-// same deterministic work the loop path does for the shared terms.
+// same deterministic work the loop path does for the shared terms,
+// under the default merge and scatter and under the ∞-sentinel and
+// staging ablations.
 func TestMultiplyBatchCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := testutil.RandomCSC(rng, 300, 300, 4)
@@ -93,22 +102,31 @@ func TestMultiplyBatchCounters(t *testing.T) {
 		ys[q] = sparse.NewSpVec(0, 0)
 	}
 
-	loop := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
-	for q := range xs {
-		testutil.Multiply(loop, xs[q], ys[q], semiring.Arithmetic)
-	}
-	wantC := loop.Counters()
+	for _, v := range []struct {
+		name string
+		opt  Options
+	}{
+		{"default", Options{Threads: 2, SortOutput: true}},
+		{"sentinel", Options{Threads: 2, SortOutput: true, UseInfSentinel: true}},
+		{"staged", Options{Threads: 2, SortOutput: true, StagingEntries: 4}},
+	} {
+		loop := NewMultiplier(a, v.opt)
+		for q := range xs {
+			testutil.Multiply(loop, xs[q], ys[q], semiring.Arithmetic)
+		}
+		wantC := loop.Counters()
 
-	batch := NewMultiplier(a, Options{Threads: 2, SortOutput: true})
-	testutil.MultiplyBatch(batch, xs, ys, semiring.Arithmetic)
-	gotC := batch.Counters()
+		batch := NewMultiplier(a, v.opt)
+		testutil.MultiplyBatch(batch, xs, ys, semiring.Arithmetic)
+		gotC := batch.Counters()
 
-	// Input scans, matrix touches, bucket writes, SPA work and output
-	// are identical by construction; only SyncEvents (scheduling) may
-	// differ.
-	if gotC.XScanned != wantC.XScanned || gotC.MatrixTouched != wantC.MatrixTouched ||
-		gotC.BucketWrites != wantC.BucketWrites || gotC.SPAInit != wantC.SPAInit ||
-		gotC.SPAUpdates != wantC.SPAUpdates || gotC.OutputWritten != wantC.OutputWritten {
-		t.Errorf("batch counters differ from loop:\n batch %s\n loop  %s", gotC, wantC)
+		// Input scans, matrix touches, bucket writes, SPA work and output
+		// are identical by construction; only SyncEvents (scheduling) may
+		// differ.
+		if gotC.XScanned != wantC.XScanned || gotC.MatrixTouched != wantC.MatrixTouched ||
+			gotC.BucketWrites != wantC.BucketWrites || gotC.SPAInit != wantC.SPAInit ||
+			gotC.SPAUpdates != wantC.SPAUpdates || gotC.OutputWritten != wantC.OutputWritten {
+			t.Errorf("%s: batch counters differ from loop:\n batch %s\n loop  %s", v.name, gotC, wantC)
+		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // FuzzMultiplyMatchesReference drives the bucket algorithm with
-// fuzzer-chosen shapes, densities, thread counts and option bits, and
-// checks the result against the sequential oracle. The fuzzer explores
-// the configuration space (bucket-count rounding, range splitting,
+// fuzzer-chosen shapes, densities, thread counts and option bits, on a
+// single x and on a 3-frontier batch, and checks every result against
+// the sequential oracle. The fuzzer explores the configuration space
+// (bucket-count rounding, range splitting across frontier boundaries,
 // staging flushes) far beyond the hand-picked test matrix.
 func FuzzMultiplyMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(100), uint8(4), uint8(2), uint8(0))
@@ -63,6 +64,23 @@ func FuzzMultiplyMatchesReference(f *testing.F) {
 		Multiply(a, x, y, semiring.Arithmetic, ws, opt)
 		if !y.EqualValues(want, 1e-9) {
 			t.Fatal("second call with reused workspace diverged")
+		}
+
+		// The same options on one 3-frontier pass of the kernel: the
+		// fuzzed x, an empty frontier and a second random x.
+		x2 := testutil.RandomVector(rng, n, rng.Intn(int(n)+1), bits&1 != 0)
+		xs := []*sparse.SpVec{x, sparse.NewSpVec(n, 0), x2}
+		ys := []*sparse.SpVec{sparse.NewSpVec(0, 0), sparse.NewSpVec(0, 0), sparse.NewSpVec(0, 0)}
+		multiplyBatch(a, xs, ys, semiring.Arithmetic, ws, opt, nil, false, nil)
+		for q := range xs {
+			if !ys[q].EqualValues(baselines.Reference(a, xs[q], semiring.Arithmetic), 1e-9) {
+				t.Fatalf("batch slot %d mismatch: m=%d n=%d d=%g opts=%+v", q, m, n, d, opt)
+			}
+			if opt.SortOutput {
+				if err := ys[q].Validate(); err != nil {
+					t.Fatalf("batch slot %d: invalid sorted output: %v", q, err)
+				}
+			}
 		}
 	})
 }

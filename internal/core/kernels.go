@@ -3,17 +3,17 @@ package core
 import (
 	"math"
 
-	"spmspv/internal/par"
-	"spmspv/internal/radix"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 )
 
-// Specialized inner loops for Steps 1 and 2.
+// Specialized inner loops for Steps 1 and 2, run by multiplyBatch once
+// per (chunk, frontier) scatter segment and once per (row range,
+// frontier) merge segment.
 //
 // The scatter and merge loops run once per matrix nonzero touched — the
 // df term that dominates every multiply. Each is dispatched once per
-// call on the semiring's operation tags to a hand-monomorphized loop
+// segment on the semiring's operation tags to a hand-monomorphized loop
 // whose Add/Mul is an inlined expression, so all predefined semirings
 // (arithmetic, the tropical pair, boolean, the select variants) execute
 // with no per-nonzero function-pointer calls; only user-defined
@@ -29,33 +29,16 @@ import (
 // indirect call per nonzero, the very cost being removed. (The generic
 // op types still pay off for helpers small enough to inline, e.g. the
 // spa accumulators.)
+//
+// The paper-fidelity ablations are twins of these loops, picked per
+// segment: scatterStaged for Options.StagingEntries and mergeSentinel
+// for Options.UseInfSentinel. Both keep the func-valued semiring
+// operations.
 
-// bucketStep implements Step 1 of Algorithm 1 with direct writes: each
-// chunk re-scans its x range and scatters (row, MULT(x(j), A(i,j)))
-// pairs through the chunk's precomputed cursors. No synchronization is
-// needed because the cursor ranges are disjoint by construction, and
-// because the cursors — not the executing worker — determine where
-// entries land, any worker may claim or steal any chunk.
-func bucketStep(a *sparse.CSC, x *sparse.SpVec, sr semiring.Semiring, ws *Workspace, ex *par.Executor, t, nc, nb int, shift uint) {
-	ex.ForChunks(t, nc, nil, func(w, c int) {
-		lo, hi := ws.ranges[c][0], ws.ranges[c][1]
-		if lo >= hi {
-			return
-		}
-		cur := ws.boffset[c*nb : (c+1)*nb]
-		ctr := &ws.Counters[w]
-		written := scatterRange(a, x, sr, ws, cur, lo, hi, shift)
-		ctr.XScanned += int64(hi - lo)
-		ctr.MatrixTouched += written
-		ctr.BucketWrites += written
-	}, &ws.sched)
-}
-
-// scatterRange scatters the x entries in [lo, hi) through the cursor
-// row cur, dispatching once on the semiring's Mul tag; it returns the
-// number of matrix entries written. Shared by the single-call Step 1
-// and the batched multiply (which invokes it once per per-worker
-// per-frontier segment with cur sliced to that frontier's cursors).
+// scatterRange scatters the (row, MULT(x(j), A(i,j))) pairs of the x
+// entries in [lo, hi) through the cursor row cur — one frontier's
+// cursors within one Step-1 chunk — dispatching once on the semiring's
+// Mul tag; it returns the number of matrix entries written.
 func scatterRange(a *sparse.CSC, x *sparse.SpVec, sr semiring.Semiring, ws *Workspace, cur []int64, lo, hi int, shift uint) int64 {
 	switch sr.MulKind {
 	case semiring.MulTimes:
@@ -175,139 +158,67 @@ func scatterFunc(mul func(a, b float64) float64, a *sparse.CSC, x *sparse.SpVec,
 	return written
 }
 
-// bucketStepStaged is bucketStep with the paper's cache-locality
-// optimization: writes stream into a small per-(worker,bucket) staging
-// buffer (sized to stay L1/L2 resident) and are copied to the bucket
-// only when the buffer fills. This ablation path (off by default) keeps
-// the func-valued Mul; the flush bookkeeping, not the multiply,
-// dominates its inner loop.
-func bucketStepStaged(a *sparse.CSC, x *sparse.SpVec, sr semiring.Semiring, ws *Workspace, ex *par.Executor, t, nc, nb int, shift uint, stage int) {
-	ws.ensureStaging(t, nb, stage)
-	mul := sr.Mul
-	// The staging slab is per executing worker (one slot owns it for the
-	// chunk's whole run and drains it before the chunk ends); the write
-	// cursors are per chunk, as in the direct path.
-	ex.ForChunks(t, nc, nil, func(w, c int) {
-		lo, hi := ws.ranges[c][0], ws.ranges[c][1]
-		if lo >= hi {
-			return
-		}
-		cur := ws.boffset[c*nb : (c+1)*nb]
-		slab := ws.staging[w*nb*stage : (w+1)*nb*stage]
-		fill := ws.stagingCount[w*nb : (w+1)*nb]
-		for b := range fill {
-			fill[b] = 0
-		}
-		ctr := &ws.Counters[w]
-		var written int64
-		flush := func(b int64) {
-			n := int64(fill[b])
-			copy(ws.entries[cur[b]:cur[b]+n], slab[b*int64(stage):b*int64(stage)+n])
-			cur[b] += n
-			fill[b] = 0
-		}
-		for k := lo; k < hi; k++ {
-			j, xv := x.Ind[k], x.Val[k]
-			rows, vals := a.Col(j)
-			for e, i := range rows {
-				b := int64(i >> shift)
-				if int(fill[b]) == stage {
-					flush(b)
-				}
-				slab[b*int64(stage)+int64(fill[b])] = sparse.Entry{Ind: i, Val: mul(vals[e], xv)}
-				fill[b]++
-			}
-			written += int64(len(rows))
-		}
-		for b := int64(0); b < int64(nb); b++ {
-			if fill[b] > 0 {
+// scatterStaged is scatterRange with the paper's cache-locality
+// optimization: writes stream into the executing worker w's small
+// per-bucket staging buffers (stage entries each, sized to stay L1/L2
+// resident) and are copied to the bucket when a buffer fills and at the
+// end of the segment, so the slab is free again for the worker's next
+// segment. This ablation path (off by default) keeps the func-valued
+// Mul; the flush bookkeeping, not the multiply, dominates its inner
+// loop.
+func scatterStaged(a *sparse.CSC, x *sparse.SpVec, mul func(a, b float64) float64, ws *Workspace, w int, cur []int64, lo, hi int, shift uint, stage int) int64 {
+	nb := len(cur)
+	slab := ws.staging[w*nb*stage : (w+1)*nb*stage]
+	fill := ws.stagingCount[w*nb : (w+1)*nb]
+	clear(fill)
+	flush := func(b int64) {
+		n := int64(fill[b])
+		copy(ws.entries[cur[b]:cur[b]+n], slab[b*int64(stage):b*int64(stage)+n])
+		cur[b] += n
+		fill[b] = 0
+	}
+	var written int64
+	for k := lo; k < hi; k++ {
+		j, xv := x.Ind[k], x.Val[k]
+		rows, vals := a.Col(j)
+		for e, i := range rows {
+			b := int64(i >> shift)
+			if int(fill[b]) == stage {
 				flush(b)
 			}
+			slab[b*int64(stage)+int64(fill[b])] = sparse.Entry{Ind: i, Val: mul(vals[e], xv)}
+			fill[b]++
 		}
-		ctr.XScanned += int64(hi - lo)
-		ctr.MatrixTouched += written
-		ctr.BucketWrites += written
-	}, &ws.sched)
+		written += int64(len(rows))
+	}
+	for b := range fill {
+		if fill[b] > 0 {
+			flush(int64(b))
+		}
+	}
+	return written
 }
 
-// mergeStep implements Step 2 of Algorithm 1: every bucket is merged
-// independently through the SPA, producing the bucket's unique indices.
-// mask, when non-nil, drops entries whose row is excluded (masked
-// SpMSpV, the GraphBLAS extension of paper §V); maskComplement inverts
-// the test.
-func mergeStep(sr semiring.Semiring, ws *Workspace, ex *par.Executor, t, nb int, opt Options, mask *sparse.BitVec, maskComplement bool) {
-	epoch := ws.nextEpoch()
-	body := func(w, b int) {
-		lo, hi := ws.bucketStart[b], ws.bucketStart[b+1]
-		if lo == hi {
-			ws.uindCount[b] = 0
-			return
-		}
-		ents := ws.entries[lo:hi]
-		u := ws.uind[lo:lo]
-		ctr := &ws.Counters[w]
-		switch {
-		case mask != nil:
-			u = mergeMasked(sr, ws, ents, u, epoch, mask, maskComplement)
-		case opt.UseInfSentinel:
-			// Paper-faithful two-pass merge (Algorithm 1 lines 11-18):
-			// mark first, then accumulate, using ∞ as the
-			// "uninitialized" sentinel. Ablation path; func-valued Add.
-			add := sr.Add
-			inf := math.Inf(1)
-			for _, e := range ents {
-				ws.spaVal[e.Ind] = inf
-			}
-			ctr.SPAInit += int64(len(ents))
-			for _, e := range ents {
-				if ws.spaVal[e.Ind] == inf {
-					ws.spaVal[e.Ind] = e.Val
-					u = append(u, e.Ind)
-				} else {
-					ws.spaVal[e.Ind] = add(ws.spaVal[e.Ind], e.Val)
-				}
-			}
-		default:
-			u = mergeEpoch(sr, ws, ents, u, epoch)
-		}
-		ws.uindCount[b] = int64(len(u))
-		if !opt.UseInfSentinel {
-			ctr.SPAInit += int64(len(u))
-		}
-		ctr.SPAUpdates += int64(len(ents)) - int64(len(u))
-		if opt.SortOutput {
-			ws.scratch[w] = radix.SortIndices(u, ws.scratch[w])
-			ctr.SortedElems += int64(len(u))
+// mergeSentinel is the paper-faithful two-pass merge (Algorithm 1,
+// lines 11-18): every entry's SPA slot is first marked with ∞ as the
+// "uninitialized" sentinel, then accumulated. Like the paper, it cannot
+// tell a stored +Inf from an unmarked slot. Ablation path; func-valued
+// Add.
+func mergeSentinel(sr semiring.Semiring, ws *Workspace, ents []sparse.Entry, u []sparse.Index) []sparse.Index {
+	add := sr.Add
+	inf := math.Inf(1)
+	for _, e := range ents {
+		ws.spaVal[e.Ind] = inf
+	}
+	for _, e := range ents {
+		if ws.spaVal[e.Ind] == inf {
+			ws.spaVal[e.Ind] = e.Val
+			u = append(u, e.Ind)
+		} else {
+			ws.spaVal[e.Ind] = add(ws.spaVal[e.Ind], e.Val)
 		}
 	}
-	switch opt.MergeSched {
-	case SchedDynamic:
-		for w := 0; w < t; w++ {
-			ws.sync[w] = 0
-		}
-		par.ForDynamic(t, nb, 1, func(w, lo, hi int) {
-			for b := lo; b < hi; b++ {
-				body(w, b)
-			}
-		}, ws.sync)
-		for w := 0; w < t; w++ {
-			ws.Counters[w].SyncEvents += ws.sync[w]
-		}
-	case SchedStealing:
-		// Stealable buckets with initial shares weighted by entry count
-		// (bucketStart is exactly that cumulative weight array): heavy
-		// buckets cluster on few workers up front, and whoever drains
-		// their share first steals from the stragglers.
-		ex.ForChunks(t, nb, ws.bucketStart[:nb+1], func(w, b int) {
-			body(w, b)
-		}, &ws.sched)
-	default:
-		par.ForStatic(t, nb, func(w, lo, hi int) {
-			for b := lo; b < hi; b++ {
-				body(w, b)
-			}
-		})
-	}
+	return u
 }
 
 // mergeEpoch is the one-pass epoch-tag merge: a tag mismatch plays the

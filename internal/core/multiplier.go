@@ -54,7 +54,7 @@ func (mu *Multiplier) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask
 	if bitmap {
 		bits = y.OutputBits(mu.A.NumRows)
 	}
-	multiply(mu.A, x.List(), list, sr, ws, mu.Opt, mask, complement, bits)
+	multiplyOne(mu.A, x.List(), list, sr, ws, mu.Opt, mask, complement, bits)
 	y.FinishOutput(bitmap)
 	mu.retire(ws, slot)
 }

@@ -298,6 +298,15 @@ func TestMaskedMultiply(t *testing.T) {
 			t.Errorf("complement=%v: masked multiply != post-filtered multiply", complement)
 		}
 	}
+
+	// A mask that drops every product leaves y empty, and an empty y is
+	// sorted even when the output is unsorted by option — the rule
+	// batched slots follow too.
+	y := sparse.NewSpVec(0, 0)
+	MultiplyMasked(a, x, y, semiring.Arithmetic, sparse.NewBitVec(400), false, NewWorkspace(400, 0), Options{Threads: 4})
+	if y.NNZ() != 0 || !y.Sorted {
+		t.Errorf("all products masked out: nnz=%d Sorted=%v, want empty and sorted", y.NNZ(), y.Sorted)
+	}
 }
 
 func TestLinearityProperty(t *testing.T) {

@@ -48,14 +48,7 @@ func TestBucketCountNeverExceedsRequested(t *testing.T) {
 	// nb = BucketsPerThread·t (the paper's 4t) for a spread of shapes.
 	for _, m := range []sparse.Index{1, 2, 5, 63, 64, 65, 1000, 16384, 100000} {
 		for _, nbReq := range []int{1, 4, 16, 64} {
-			shift := uint(0)
-			for int64(m) > int64(nbReq)<<shift {
-				shift++
-			}
-			nb := int((int64(m) + (int64(1) << shift) - 1) >> shift)
-			if nb < 1 {
-				nb = 1
-			}
+			nb, shift := bucketGeometry(m, nbReq)
 			if nb > nbReq && m > sparse.Index(nbReq) {
 				t.Errorf("m=%d req=%d: nb=%d exceeds request", m, nbReq, nb)
 			}

@@ -13,31 +13,40 @@ import (
 // SpMSpV-bucket algorithm", paper §III-A).
 //
 // A Workspace may be reused across calls with different matrices,
-// vectors, thread counts and options; every buffer grows on demand and
-// never shrinks. It must not be shared by concurrent Multiply calls.
+// vectors, batch sizes, thread counts and options; every buffer grows
+// on demand and never shrinks. It must not be shared by concurrent
+// Multiply calls.
+//
+// Buckets are indexed over the whole batch: a batch of k frontiers
+// has NB = k·nb buckets, bucket q·nb + b holding frontier q's entries
+// for row range b (a single multiply is k = 1).
 type Workspace struct {
-	// Per-(chunk,bucket) write cursors: boffset[c·nb+b] is where Step-1
-	// chunk c writes its next entry for bucket b (Algorithm 2's Boffset
-	// after the prefix-sum pass). Chunks over-decompose the input split
-	// ~8 per worker so the executor can steal them; at t = 1 there is
-	// exactly one chunk.
+	// Per-(chunk,bucket) write cursors: boffset[c·NB+bq] is where
+	// Step-1 chunk c writes its next entry for bucket bq (Algorithm 2's
+	// Boffset after the prefix-sum pass). Chunks over-decompose the
+	// input split ~8 per worker so the executor can steal them; at
+	// t = 1 there is exactly one chunk.
 	boffset []int64
-	// bucketStart[b] is the first entry slot of bucket b; length nb+1.
+	// bucketStart[bq] is the first entry slot of bucket bq; length NB+1.
 	bucketStart []int64
-	// entries is the bucket storage: bucket b occupies
-	// entries[bucketStart[b]:bucketStart[b+1]]. Total size is at most
-	// nnz(A) (paper §III-A), reached only when x selects every column.
+	// entries is the bucket storage: bucket bq occupies
+	// entries[bucketStart[bq]:bucketStart[bq+1]]. A single call needs at
+	// most nnz(A) (paper §III-A), reached only when x selects every
+	// column. Once a bucket is merged its entries are dead, and a batch
+	// parks the bucket's unique values in their Val fields for Step 3.
 	entries []sparse.Entry
 	// uind stores each bucket's unique indices in the bucket's own slot
 	// range (unique count ≤ entry count, so the same offsets fit).
 	uind []sparse.Index
-	// uindCount[b] / uindOffset[b]: per-bucket unique counts and their
-	// exclusive prefix (the Step-3 offsets of Algorithm 1, line 20).
+	// uindCount[bq] / uindOffset[bq]: per-bucket unique counts and their
+	// exclusive prefix over the batch, frontier-major (the Step-3
+	// offsets of Algorithm 1, line 20).
 	uindCount  []int64
 	uindOffset []int64
 
 	// SPA: values plus epoch tags for O(1) partial initialization. Slot
-	// i is live iff spaTag[i] == epoch.
+	// i is live iff spaTag[i] is the epoch of the frontier being merged;
+	// epoch is the last one handed out.
 	spaVal []float64
 	spaTag []uint32
 	epoch  uint32
@@ -47,15 +56,18 @@ type Workspace struct {
 	xcum   []int64
 	ranges [][2]int
 
-	// Batched-multiply buffers: the concatenation of the batch's input
-	// vectors (batchInd/batchVal) with frontier boundaries batchOff
-	// (length k+1), and uval — per-bucket unique values copied out of
-	// the SPA at merge time, because successive frontiers of a batch
-	// reuse the same SPA row range before the output step runs.
-	batchInd []sparse.Index
-	batchVal []float64
+	// batchOff (length k+1) holds the frontier boundaries of the
+	// batch's inputs in their concatenation, which Step 1 splits over.
 	batchOff []int64
-	uval     []float64
+
+	// xs, ys, masks and outBits are the batch of the call in progress,
+	// nil between calls; oneX, oneY, oneMask and oneBits are the
+	// one-slot arrays through which a single multiply runs as a batch
+	// of one.
+	xs, ys           []*sparse.SpVec
+	masks, outBits   []*sparse.BitVec
+	oneX, oneY       [1]*sparse.SpVec
+	oneMask, oneBits [1]*sparse.BitVec
 
 	// staging is the optional per-worker Step-1 staging slab
 	// (StagingEntries × nb entries each) with fill counts.
@@ -110,7 +122,7 @@ func (ws *Workspace) TotalCounters() perf.Counters {
 }
 
 // ensure grows the workspace for an m-row matrix, t workers, nb buckets
-// and nc Step-1 chunks.
+// (over the whole batch) and nc Step-1 chunks.
 func (ws *Workspace) ensure(m sparse.Index, t, nb, nc int) {
 	if len(ws.spaVal) < int(m) {
 		ws.spaVal = make([]float64, m)
@@ -193,22 +205,9 @@ func (ws *Workspace) ensureStaging(t, nb, capEntries int) {
 	}
 }
 
-// nextEpoch advances the SPA epoch, handling 32-bit wraparound by wiping
-// the tags (amortized O(1) per call).
-func (ws *Workspace) nextEpoch() uint32 {
-	ws.epoch++
-	if ws.epoch == 0 {
-		for i := range ws.spaTag {
-			ws.spaTag[i] = 0
-		}
-		ws.epoch = 1
-	}
-	return ws.epoch
-}
-
 // epochBlock reserves k consecutive SPA epochs (one per frontier of a
 // batch) and returns the first, wiping the tags on 32-bit wraparound
-// exactly as nextEpoch does.
+// (amortized O(1) per call).
 func (ws *Workspace) epochBlock(k uint32) uint32 {
 	if ws.epoch > ^uint32(0)-k {
 		for i := range ws.spaTag {
@@ -219,24 +218,4 @@ func (ws *Workspace) epochBlock(k uint32) uint32 {
 	base := ws.epoch + 1
 	ws.epoch += k
 	return base
-}
-
-// ensureBatch grows the batch concatenation buffers for totalF entries
-// across k frontiers, and the unique-value buffer alongside uind.
-func (ws *Workspace) ensureBatch(totalF int64, k int) {
-	if int64(cap(ws.batchInd)) < totalF {
-		ws.batchInd = make([]sparse.Index, totalF)
-		ws.batchVal = make([]float64, totalF)
-	}
-	if len(ws.batchOff) < k+1 {
-		ws.batchOff = make([]int64, k+1)
-	}
-}
-
-// ensureUval grows the per-bucket unique-value buffer to match the
-// entry storage (unique count ≤ entry count, so the same offsets fit).
-func (ws *Workspace) ensureUval(total int64) {
-	if int64(len(ws.uval)) < total {
-		ws.uval = make([]float64, total)
-	}
 }

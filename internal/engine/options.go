@@ -47,27 +47,23 @@ type Options struct {
 	// bucket when full — the paper's cache-locality optimization ("a
 	// thread first fills its private buffer … and copies data from the
 	// private buffer to buckets when the local buffer is full",
-	// §III-A). Zero writes directly.
+	// §III-A) — and at the end of each chunk's share of each frontier,
+	// so it applies to single and batched multiplies alike. Zero writes
+	// directly.
 	StagingEntries int
 
 	// UseInfSentinel switches Step 2 to the paper-faithful two-pass
 	// merge that marks first touches with ∞ (Algorithm 1, lines 11-18)
-	// instead of the default one-pass epoch-tag merge. The sentinel
-	// variant cannot distinguish a stored +Inf from an uninitialized
-	// slot, exactly as in the paper; it exists for fidelity comparisons.
+	// instead of the default one-pass epoch-tag merge, for single and
+	// batched multiplies alike (a masked frontier keeps the epoch-tag
+	// merge that carries the mask test). The sentinel variant cannot
+	// distinguish a stored +Inf from an uninitialized slot, exactly as
+	// in the paper; it exists for fidelity comparisons.
 	UseInfSentinel bool
 
 	// MergeSched selects dynamic (default), static or work-stealing
 	// scheduling of buckets in Step 2.
 	MergeSched Sched
-
-	// Executor, when non-nil, runs the engine's parallel regions on a
-	// dedicated executor instead of the process-wide par.Default() pool
-	// — for isolating one engine's concurrency from the rest of the
-	// process (e.g. a tenant with its own thread budget). Nil shares
-	// the default pool, which bounds total goroutine fan-out even when
-	// a server coalesces many concurrent requests.
-	Executor *par.Executor
 
 	// SplitEvenly disables the nonzero-weighted Step-1 work split. By
 	// default work is split "based on nonzeros, as opposed to [entries],
@@ -107,13 +103,4 @@ func (o Options) WithDefaults() Options {
 		o.BucketsPerThread = 4
 	}
 	return o
-}
-
-// Exec resolves the executor the engine's parallel regions run on: the
-// configured one, or the process-wide default pool.
-func (o Options) Exec() *par.Executor {
-	if o.Executor != nil {
-		return o.Executor
-	}
-	return par.Default()
 }
