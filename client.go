@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -21,12 +20,9 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
-	// wire is the preferred mult/program wire form (ContentTypeBinary
-	// by default); jsonOnly latches true the first time a server
-	// rejects the binary form, so every later call goes straight to
-	// JSON instead of re-paying a failed round trip per request.
-	wire     string
-	jsonOnly atomic.Bool
+	// wire is the form Do, Run, Invoke and PutProgram send
+	// (ContentTypeBinary by default; see WithWire).
+	wire string
 	// timeout, when positive, bounds every request that arrives without
 	// its own deadline (see WithTimeout).
 	timeout time.Duration
@@ -56,10 +52,9 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithWire sets the wire form the client offers on /v1/mult and
-// /v1/program: ContentTypeBinary (the default — with an automatic,
-// sticky fallback to JSON when the server does not speak it) or
-// ContentTypeJSON to pin the JSON form outright.
+// WithWire sets the wire form the client sends on /v1/mult,
+// /v1/program, invoke and program uploads: ContentTypeBinary (the
+// default) or ContentTypeJSON, for servers that speak only JSON.
 func WithWire(contentType string) ClientOption {
 	return func(c *Client) {
 		if contentType == ContentTypeJSON {
@@ -73,7 +68,8 @@ func WithWire(contentType string) ClientOption {
 // WithTimeout bounds every call that arrives without its own deadline:
 // each request runs under a context.WithTimeout of d, so a hung server
 // costs at most d instead of blocking the caller forever. Calls made
-// through DoContext/RunContext with an earlier deadline keep theirs.
+// through DoContext, RunContext or InvokeContext with an earlier
+// deadline keep theirs.
 func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.timeout = d }
 }
@@ -103,10 +99,22 @@ func (c *Client) reqContext(ctx context.Context) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-// useBinary reports whether the next mult/program call should attempt
-// the binary wire form.
-func (c *Client) useBinary() bool {
-	return c.wire == ContentTypeBinary && !c.jsonOnly.Load()
+// send issues one request with the given Content-Type (none when
+// empty) and Accept headers; the caller closes the reply body.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader, contentType, accept string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	req.Header.Set("Accept", accept)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("spmspv: %s %s: %w", method, path, err)
+	}
+	return resp, nil
 }
 
 // roundTrip POSTs/GETs and decodes the JSON reply into out. A non-2xx
@@ -115,20 +123,12 @@ func (c *Client) useBinary() bool {
 func (c *Client) roundTrip(ctx context.Context, method, path string, body io.Reader, contentType string, out any, errOf func([]byte) *WireError) error {
 	ctx, cancel := c.reqContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
 	// Pin the JSON reply explicitly: a server whose default wire is
 	// binary (spmspv-serve -wire binary) would otherwise answer a
 	// preference-free request in a form this path cannot decode.
-	req.Header.Set("Accept", ContentTypeJSON)
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, method, path, body, contentType, ContentTypeJSON)
 	if err != nil {
-		return fmt.Errorf("spmspv: %s %s: %w", method, path, err)
+		return err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
@@ -160,66 +160,63 @@ func envelopeError(data []byte) *WireError {
 	return nil
 }
 
-// binaryRoundTrip POSTs the binary envelope enc writes and decodes the
-// reply by its Content-Type — binary through dec, JSON through
-// encoding/json. downgrade=true means the server does not speak the
-// binary form — 406/415, an old JSON-only server answering
-// 400/bad_request because it cannot parse the envelope, or a reply in
-// no recognizable form — and the caller should retry as JSON; both
-// endpoints are pure computation, so the retry is safe.
-func binaryRoundTrip[T any](ctx context.Context, c *Client, path string, enc func(io.Writer) error, dec func(io.Reader) (*T, error), errOf func(*T) *WireError) (out *T, downgrade bool, err error) {
-	var buf bytes.Buffer
-	if err := enc(&buf); err != nil {
-		return nil, false, err
+// exchange is the client side of every negotiated endpoint (see
+// wireExchange): it POSTs req in the WithWire form and decodes the
+// reply by its Content-Type — the binary envelope or JSON. An error the
+// reply carries comes back as the *WireError itself.
+func exchange[Req, Resp any](ctx context.Context, c *Client, path string, ex wireExchange[Req, Resp], req *Req) (*Resp, error) {
+	if req == nil && ex.emptyOK {
+		req = new(Req)
+	}
+	var body io.Reader
+	accept := ContentTypeJSON
+	if c.wire == ContentTypeBinary {
+		var buf bytes.Buffer
+		if err := ex.encodeReq(&buf, req); err != nil {
+			return nil, err
+		}
+		body = &buf
+		accept = ContentTypeBinary + ", " + ContentTypeJSON
+	} else {
+		data, err := json.Marshal(req)
+		if err != nil {
+			return nil, fmt.Errorf("spmspv: encoding %s: %w", ex.what, err)
+		}
+		body = bytes.NewReader(data)
 	}
 	ctx, cancel := c.reqContext(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, &buf)
+	resp, err := c.send(ctx, http.MethodPost, path, body, c.wire, accept)
 	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	req.Header.Set("Accept", ContentTypeBinary+", "+ContentTypeJSON)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, false, fmt.Errorf("spmspv: POST %s: %w", path, err)
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotAcceptable || resp.StatusCode == http.StatusUnsupportedMediaType {
-		io.Copy(io.Discard, resp.Body)
-		return nil, true, nil
-	}
+	var out *Resp
+	var data []byte
 	if mediaType(resp.Header.Get("Content-Type")) == ContentTypeBinary {
-		out, err := dec(resp.Body)
-		if err != nil {
-			return nil, false, fmt.Errorf("spmspv: decoding POST %s response: %w", path, err)
-		}
-		return out, false, nil
+		out, err = ex.decodeResp(resp.Body)
+	} else if data, err = io.ReadAll(resp.Body); err == nil {
+		// The decode target is allocated only here: the binary decoder
+		// allocates its own.
+		out = new(Resp)
+		err = json.Unmarshal(data, out)
 	}
-	data, err := io.ReadAll(resp.Body)
+	if err == nil {
+		if we := ex.errOf(out); we != nil {
+			return nil, we
+		}
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return nil, fmt.Errorf("spmspv: POST %s: HTTP %d: %s", path, resp.StatusCode, data)
+	}
 	if err != nil {
-		return nil, false, fmt.Errorf("spmspv: reading POST %s response: %w", path, err)
+		return nil, fmt.Errorf("spmspv: decoding POST %s response: %w", path, err)
 	}
-	var v T
-	if json.Unmarshal(data, &v) == nil {
-		if we := errOf(&v); we != nil {
-			if we.Code == CodeBadRequest && resp.StatusCode == http.StatusBadRequest {
-				return nil, true, nil // old server: could not parse the envelope at all
-			}
-			return &v, false, nil
-		}
-		if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
-			return &v, false, nil
-		}
-	}
-	if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
-		return nil, true, nil // 2xx in no form we recognize — fall back to JSON
-	}
-	return nil, false, fmt.Errorf("spmspv: POST %s: HTTP %d: %s", path, resp.StatusCode, data)
+	return out, nil
 }
 
-// Do executes one multiply request on the server (POST /v1/mult),
-// negotiating the binary wire form first (see WithWire).
+// Do executes one multiply request on the server (POST /v1/mult) in
+// the WithWire form.
 func (c *Client) Do(req *Request) (*Response, error) {
 	return c.DoContext(context.Background(), req)
 }
@@ -229,88 +226,18 @@ func (c *Client) Do(req *Request) (*Response, error) {
 // context is done. The sharded coordinator's per-attempt retry
 // deadlines ride this.
 func (c *Client) DoContext(ctx context.Context, req *Request) (*Response, error) {
-	if c.useBinary() {
-		resp, downgrade, err := binaryRoundTrip(ctx, c, "/v1/mult",
-			func(w io.Writer) error { return EncodeRequestBinary(w, req) },
-			DecodeResponseBinary,
-			func(r *Response) *WireError { return r.Err })
-		if !downgrade {
-			if err != nil {
-				return nil, err
-			}
-			if resp.Err != nil {
-				return nil, resp.Err
-			}
-			return resp, nil
-		}
-		c.jsonOnly.Store(true)
-	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("spmspv: encoding request: %w", err)
-	}
-	var resp Response
-	err = c.roundTrip(ctx, http.MethodPost, "/v1/mult", bytes.NewReader(data), "application/json", &resp,
-		func(data []byte) *WireError {
-			var r Response
-			if json.Unmarshal(data, &r) == nil && r.Err != nil {
-				return r.Err
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	return &resp, nil
+	return exchange(ctx, c, "/v1/mult", multExchange, req)
 }
 
-// Run executes a program on the server (POST /v1/program),
-// negotiating the binary wire form first (see WithWire).
+// Run executes a program on the server (POST /v1/program) in the
+// WithWire form.
 func (c *Client) Run(p *Program) (*ProgramResponse, error) {
 	return c.RunContext(context.Background(), p)
 }
 
 // RunContext is Run under a caller-supplied context (see DoContext).
 func (c *Client) RunContext(ctx context.Context, p *Program) (*ProgramResponse, error) {
-	if c.useBinary() {
-		resp, downgrade, err := binaryRoundTrip(ctx, c, "/v1/program",
-			func(w io.Writer) error { return EncodeProgramBinary(w, p) },
-			DecodeProgramResponseBinary,
-			func(r *ProgramResponse) *WireError { return r.Err })
-		if !downgrade {
-			if err != nil {
-				return nil, err
-			}
-			if resp.Err != nil {
-				return nil, resp.Err
-			}
-			return resp, nil
-		}
-		c.jsonOnly.Store(true)
-	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("spmspv: encoding program: %w", err)
-	}
-	var resp ProgramResponse
-	err = c.roundTrip(ctx, http.MethodPost, "/v1/program", bytes.NewReader(data), "application/json", &resp,
-		func(data []byte) *WireError {
-			var r ProgramResponse
-			if json.Unmarshal(data, &r) == nil && r.Err != nil {
-				return r.Err
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	return &resp, nil
+	return exchange(ctx, c, "/v1/program", programExchange, p)
 }
 
 // PutMatrix uploads a matrix under name (POST /v1/matrices/{name}),
@@ -370,7 +297,7 @@ func (c *Client) BFS(matrix string, source Index) (*BFSResult, error) {
 func (c *Client) PutProgram(name string, p *Program) (*ProgramStat, error) {
 	var buf bytes.Buffer
 	contentType := ContentTypeJSON
-	if c.useBinary() {
+	if c.wire == ContentTypeBinary {
 		contentType = ContentTypeBinary
 		if err := EncodeProgramBinary(&buf, p); err != nil {
 			return nil, err
@@ -413,8 +340,8 @@ func (c *Client) DeleteProgram(name string) error {
 }
 
 // Invoke runs a stored procedure by name with only the bindings on the
-// wire (POST /v1/programs/{name}/invoke), negotiating the binary wire
-// form first (see WithWire).
+// wire (POST /v1/programs/{name}/invoke), in the WithWire form; a nil
+// inv binds nothing.
 func (c *Client) Invoke(name string, inv *InvokeRequest) (*ProgramResponse, error) {
 	return c.InvokeContext(context.Background(), name, inv)
 }
@@ -422,44 +349,5 @@ func (c *Client) Invoke(name string, inv *InvokeRequest) (*ProgramResponse, erro
 // InvokeContext is Invoke under a caller-supplied context (see
 // DoContext).
 func (c *Client) InvokeContext(ctx context.Context, name string, inv *InvokeRequest) (*ProgramResponse, error) {
-	if inv == nil {
-		inv = &InvokeRequest{}
-	}
-	path := "/v1/programs/" + name + "/invoke"
-	if c.useBinary() {
-		resp, downgrade, err := binaryRoundTrip(ctx, c, path,
-			func(w io.Writer) error { return EncodeInvokeRequestBinary(w, inv) },
-			DecodeProgramResponseBinary,
-			func(r *ProgramResponse) *WireError { return r.Err })
-		if !downgrade {
-			if err != nil {
-				return nil, err
-			}
-			if resp.Err != nil {
-				return nil, resp.Err
-			}
-			return resp, nil
-		}
-		c.jsonOnly.Store(true)
-	}
-	data, err := json.Marshal(inv)
-	if err != nil {
-		return nil, fmt.Errorf("spmspv: encoding invoke request: %w", err)
-	}
-	var resp ProgramResponse
-	err = c.roundTrip(ctx, http.MethodPost, path, bytes.NewReader(data), "application/json", &resp,
-		func(data []byte) *WireError {
-			var r ProgramResponse
-			if json.Unmarshal(data, &r) == nil && r.Err != nil {
-				return r.Err
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	return &resp, nil
+	return exchange(ctx, c, "/v1/programs/"+name+"/invoke", invokeExchange, inv)
 }

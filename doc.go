@@ -155,20 +155,21 @@
 // result. Only a fully dead group falls back to the bounded
 // retry/backoff loop. Per-replica state, failovers, probe failures
 // and the membership epoch ride on ShardStats, GET /v1/shards and the
-// shutdown log; /v1/health answers on every server (JSON or the SPHL
-// binary frame) with engine, registry sizes and — on a coordinator —
-// the fleet shape.
+// shutdown log; /v1/health answers JSON on every server with engine,
+// registry sizes and — on a coordinator — the fleet shape.
 //
-// Both request endpoints speak two wire forms, negotiated per request:
-// JSON (the default for clients that express no preference) and a
-// binary envelope (ContentTypeBinary) that keeps the structured header
-// as JSON but ships every vector as a framed SPVB section — raw
-// little-endian arrays, bitmap outputs as raw uint64 words — removing
-// the per-request float-formatting tax that dominated JSON serving.
-// The server sniffs request bodies and honors Accept; the Client
-// negotiates binary by default with a sticky JSON fallback for old
-// servers; cmd/spmspv-serve's -wire flag sets the server default.
-// DecodeVector sniffs SPVB vs JSON vs text, mirroring DecodeMatrix.
+// The request endpoints (mult, program and stored-program invoke)
+// speak two wire forms, negotiated per request: JSON (the default for
+// clients that express no preference) and a binary envelope
+// (ContentTypeBinary) that keeps the structured header as JSON but
+// ships every vector as a framed SPVB section — raw little-endian
+// arrays, bitmap outputs as raw uint64 words — removing the
+// per-request float-formatting tax that dominated JSON serving. The
+// server sniffs request bodies and honors Accept; the Client sends
+// binary by default (WithWire pins JSON for JSON-only servers) and
+// decodes each reply by its Content-Type; cmd/spmspv-serve's -wire
+// flag sets the server default. DecodeVector sniffs SPVB vs JSON vs
+// text, mirroring DecodeMatrix.
 //
 // # Architecture: the engine layer
 //

@@ -2,10 +2,6 @@ package spmspv
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 )
 
@@ -34,58 +30,6 @@ type HealthStatus struct {
 	// MemberEpoch is the coordinator's membership view version; it
 	// increments on every member health-state transition.
 	MemberEpoch uint64 `json:"member_epoch,omitempty"`
-}
-
-// healthMagic frames the binary wire form of a HealthStatus. The
-// payload is pure structure — no vector sections — so the frame is
-// just magic, version, and a length-prefixed JSON body, consistent
-// with the envelope headers of the other message types.
-const healthMagic = "SPHL"
-
-// EncodeHealthBinary writes h in the binary wire form:
-// "SPHL" magic, version uint32, length uint32, then the JSON body
-// (little-endian words, like every other envelope).
-func EncodeHealthBinary(w io.Writer, h *HealthStatus) error {
-	body, err := json.Marshal(h)
-	if err != nil {
-		return fmt.Errorf("spmspv: encoding health: %w", err)
-	}
-	var hdr [12]byte
-	copy(hdr[0:4], healthMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], envelopeVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// DecodeHealthBinary reads the SPHL frame.
-func DecodeHealthBinary(r io.Reader) (*HealthStatus, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("spmspv: reading health frame: %w", err)
-	}
-	if string(hdr[0:4]) != healthMagic {
-		return nil, fmt.Errorf("spmspv: bad health magic %q", hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != envelopeVersion {
-		return nil, fmt.Errorf("spmspv: unsupported health frame version %d", v)
-	}
-	n := binary.LittleEndian.Uint32(hdr[8:12])
-	if n > maxEnvelopeHeader {
-		return nil, fmt.Errorf("spmspv: health frame claims %d body bytes", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("spmspv: reading health body: %w", err)
-	}
-	var h HealthStatus
-	if err := json.Unmarshal(body, &h); err != nil {
-		return nil, fmt.Errorf("spmspv: decoding health: %w", err)
-	}
-	return &h, nil
 }
 
 // health reports the store's liveness summary for GET /v1/health: the

@@ -1,19 +1,16 @@
 package spmspv_test
 
 import (
-	"bytes"
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	spmspv "spmspv"
 )
 
-// TestHealthEndpoint drives GET /v1/health over both wire forms and
-// both backend kinds: a plain store answers its engine and registry
-// sizes, a coordinator adds its fleet shape, and the binary form rides
-// the SPHL frame under Accept negotiation.
+// TestHealthEndpoint drives GET /v1/health against both backend kinds:
+// a plain store answers its engine and registry sizes, a coordinator
+// adds its fleet shape.
 func TestHealthEndpoint(t *testing.T) {
 	opts := []spmspv.Option{spmspv.WithEngineOptions(engineOptions(1))}
 	st := spmspv.NewStore(opts...)
@@ -36,25 +33,6 @@ func TestHealthEndpoint(t *testing.T) {
 		t.Fatalf("health reports no uptime: %+v", h)
 	}
 
-	// Binary form: Accept the SPHL frame explicitly.
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/health", nil)
-	req.Header.Set("Accept", spmspv.ContentTypeBinary)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != spmspv.ContentTypeBinary {
-		t.Fatalf("binary health Content-Type %q", ct)
-	}
-	hb, err := spmspv.DecodeHealthBinary(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb.Status != "ok" || hb.Engine != spmspv.Bucket.String() || hb.Matrices != 1 {
-		t.Fatalf("binary health: %+v", hb)
-	}
-
 	// Coordinator: fleet shape and membership epoch ride along.
 	ss, err := spmspv.NewLocalShardedStore(2, opts, spmspv.WithReplication(2))
 	if err != nil {
@@ -68,33 +46,6 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 	if ch.Engine != "coordinator" || ch.Shards != 2 || ch.Replicas != 2 {
 		t.Fatalf("coordinator health: %+v", ch)
-	}
-}
-
-// TestHealthBinaryCodec pins the SPHL frame: lossless roundtrip,
-// and loud rejection of wrong magic and unsupported versions.
-func TestHealthBinaryCodec(t *testing.T) {
-	in := &spmspv.HealthStatus{
-		Status: "ok", Engine: "coordinator", Matrices: 3, Programs: 2,
-		UptimeNS: 12345, Shards: 4, Replicas: 2, MemberEpoch: 9,
-	}
-	var buf bytes.Buffer
-	if err := spmspv.EncodeHealthBinary(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := spmspv.DecodeHealthBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *out != *in {
-		t.Fatalf("roundtrip: %+v, want %+v", out, in)
-	}
-
-	if _, err := spmspv.DecodeHealthBinary(bytes.NewReader([]byte("SPRQ\x01\x00\x00\x00\x00\x00\x00\x00"))); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-	if _, err := spmspv.DecodeHealthBinary(bytes.NewReader([]byte("SPHL\x63\x00\x00\x00\x00\x00\x00\x00"))); err == nil {
-		t.Fatal("future version accepted")
 	}
 }
 

@@ -80,18 +80,6 @@ func checkBitVecDim(n int64) error {
 	return nil
 }
 
-// encodePooling gates the sync.Pool'd bufio writers the binary
-// encoders borrow. It exists so benchmarks can measure the pooled and
-// unpooled encode paths as independent dimensions; production callers
-// leave it on.
-var encodePooling atomic.Bool
-
-func init() { encodePooling.Store(true) }
-
-// SetEncodePooling toggles the pooled encode buffers (on by default).
-// It is a measurement knob for benchmarks, not a tuning parameter.
-func SetEncodePooling(on bool) { encodePooling.Store(on) }
-
 // encWriterPool recycles the bufio.Writer every binary encoder wraps
 // its destination in, so a steady-state serving loop pays zero
 // allocations for encoder state.
@@ -100,12 +88,8 @@ var encWriterPool = sync.Pool{
 }
 
 // getEncWriter borrows a bufio.Writer bound to w; putEncWriter
-// flushes and returns it. With pooling disabled a fresh writer is
-// allocated each call (the unpooled baseline benchmarks measure).
+// flushes and returns it.
 func getEncWriter(w io.Writer) *bufio.Writer {
-	if !encodePooling.Load() {
-		return bufio.NewWriterSize(w, 16<<10)
-	}
 	bw := encWriterPool.Get().(*bufio.Writer)
 	bw.Reset(w)
 	return bw
@@ -113,10 +97,8 @@ func getEncWriter(w io.Writer) *bufio.Writer {
 
 func putEncWriter(bw *bufio.Writer) error {
 	err := bw.Flush()
-	if encodePooling.Load() {
-		bw.Reset(nil) // drop the destination so the pool holds no caller state
-		encWriterPool.Put(bw)
-	}
+	bw.Reset(nil) // drop the destination so the pool holds no caller state
+	encWriterPool.Put(bw)
 	return err
 }
 

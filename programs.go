@@ -1,7 +1,6 @@
 package spmspv
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -203,14 +202,6 @@ func (st *Store) Invoke(name string, inv *InvokeRequest) (*ProgramResponse, erro
 	return st.programs.invoke(name, inv, st.progMult())
 }
 
-// InvokeContext is Invoke with a pre-flight context check.
-func (st *Store) InvokeContext(ctx context.Context, name string, inv *InvokeRequest) (*ProgramResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wireErrorf(CodeInternal, "%v", err)
-	}
-	return st.Invoke(name, inv)
-}
-
 // PutProgram registers (or replaces) a stored procedure on the
 // coordinator; loops run here, each body op scattering across the
 // shards (see Run).
@@ -234,12 +225,4 @@ func (ss *ShardedStore) Programs() []ProgramStat { return ss.programs.list() }
 // exits — executed on the coordinator.
 func (ss *ShardedStore) Invoke(name string, inv *InvokeRequest) (*ProgramResponse, error) {
 	return ss.programs.invoke(name, inv, ss.progMult())
-}
-
-// InvokeContext is Invoke with a pre-flight context check.
-func (ss *ShardedStore) InvokeContext(ctx context.Context, name string, inv *InvokeRequest) (*ProgramResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wireErrorf(CodeInternal, "%v", err)
-	}
-	return ss.Invoke(name, inv)
 }

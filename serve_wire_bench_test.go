@@ -1,18 +1,15 @@
-// BenchmarkServeWire isolates the two serving-path levers this repo's
-// binary wire work added, as INDEPENDENT dimensions: the wire format
-// (JSON vs the SPVB-section binary envelope) and the pooled/streaming
-// encode buffers (sync.Pool'd bufio writers + header scratch vs fresh
-// allocations per message). Each request runs the direct, uncoalesced
-// handler path so the numbers attribute to encode/decode, not
-// batching; allocs/op is reported so the pooling lever is visible even
-// where ns/op is noise-bound. EXPERIMENTS.md records the grid; CI
-// uploads BENCH_wire.json and cmd/benchcmp gates regressions.
+// BenchmarkServeWire measures the serving path in each wire format
+// (JSON vs the SPVB-section binary envelope). Each request runs the
+// direct, uncoalesced handler path so the numbers attribute to
+// encode/decode, not batching; allocs/op is reported so buffer-reuse
+// regressions are visible even where ns/op is noise-bound.
+// EXPERIMENTS.md records the grid; CI uploads BENCH_wire.json and
+// cmd/benchcmp gates regressions.
 package spmspv_test
 
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -65,24 +62,20 @@ func BenchmarkServeWire(b *testing.B) {
 		{"json", jsonBodies, spmspv.ContentTypeJSON},
 		{"binary", binBodies, spmspv.ContentTypeBinary},
 	} {
-		for _, pooled := range []bool{false, true} {
-			b.Run(fmt.Sprintf("wire=%s/pool=%v", wire.name, pooled), func(b *testing.B) {
-				spmspv.SetWireBufferPooling(pooled)
-				defer spmspv.SetWireBufferPooling(true)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r := httptest.NewRequest(http.MethodPost, "/v1/mult",
-						bytes.NewReader(wire.bodies[i%nBodies]))
-					r.Header.Set("Accept", wire.accept)
-					w := httptest.NewRecorder()
-					srv.ServeHTTP(w, r)
-					if w.Code != http.StatusOK {
-						b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
-					}
+		b.Run("wire="+wire.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := httptest.NewRequest(http.MethodPost, "/v1/mult",
+					bytes.NewReader(wire.bodies[i%nBodies]))
+				r.Header.Set("Accept", wire.accept)
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, r)
+				if w.Code != http.StatusOK {
+					b.Fatalf("HTTP %d: %s", w.Code, w.Body.String())
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

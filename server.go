@@ -141,27 +141,13 @@ func NewServer(st ServingStore, opts ...ServerOption) *Server {
 	return s
 }
 
-// handleHealth serves the liveness probe: registry sizes, engine
-// identity and uptime, in the negotiated wire form (JSON or the SPHL
-// binary frame). It must stay cheap — the membership layer polls it at
-// the probe interval against every worker.
+// handleHealth serves the liveness probe in JSON: registry sizes,
+// engine identity and uptime. It must stay cheap — the membership
+// layer polls it at the probe interval against every worker.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	wire, ok := s.acceptedWire(r)
-	if !ok {
-		writeError(w, wireErrorf(CodeNotAcceptable,
-			"no supported type in Accept %q (offer %s or %s)",
-			r.Header.Get("Accept"), ContentTypeJSON, ContentTypeBinary))
-		return
-	}
 	h := s.store.health()
 	h.Status = "ok"
 	h.UptimeNS = time.Since(s.start).Nanoseconds()
-	if wire == ContentTypeBinary {
-		w.Header().Set("Content-Type", ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		EncodeHealthBinary(w, &h)
-		return
-	}
 	writeJSON(w, http.StatusOK, &h)
 }
 
@@ -347,25 +333,19 @@ func mediaType(ct string) string {
 	return strings.ToLower(strings.TrimSpace(ct))
 }
 
-// reqReaderPool recycles the buffered readers the mult/program
-// handlers sniff and decode request bodies through, subject to the
-// same knob as the encode pools (SetWireBufferPooling).
+// reqReaderPool recycles the buffered readers request bodies are
+// sniffed and decoded through.
 var reqReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 16<<10) }}
 
 func getReqReader(r io.Reader) *bufio.Reader {
-	if !WireBufferPoolingEnabled() {
-		return bufio.NewReaderSize(r, 16<<10)
-	}
 	br := reqReaderPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	return br
 }
 
 func putReqReader(br *bufio.Reader) {
-	if WireBufferPoolingEnabled() {
-		br.Reset(nil)
-		reqReaderPool.Put(br)
-	}
+	br.Reset(nil)
+	reqReaderPool.Put(br)
 }
 
 // writeWire streams v to the client in the negotiated wire form. The
@@ -393,90 +373,106 @@ func writeWire(w http.ResponseWriter, status int, wire string, v any) {
 	}
 }
 
-func (s *Server) handleMult(w http.ResponseWriter, r *http.Request) {
+// notAcceptable is the failure of an Accept header naming no wire form
+// the server produces.
+func notAcceptable(r *http.Request) *WireError {
+	return wireErrorf(CodeNotAcceptable, "no supported type in Accept %q (offer %s or %s)",
+		r.Header.Get("Accept"), ContentTypeJSON, ContentTypeBinary)
+}
+
+// wireExchange describes one negotiated endpoint — /v1/mult,
+// /v1/program or invoke — by its message pair: how the server sniffs
+// and decodes the request, how the client encodes it and decodes the
+// reply, and where the reply carries its structured error. The
+// server's serveExchange and the client's exchange are the one
+// implementation of each side of every such endpoint.
+type wireExchange[Req, Resp any] struct {
+	what    string // the request's name in JSON decode errors
+	magic   string // the request's envelope magic
+	emptyOK bool   // an empty body (a nil client request) is the zero request
+
+	encodeReq  func(io.Writer, *Req) error
+	decodeReq  func(io.Reader) (*Req, error)
+	decodeResp func(io.Reader) (*Resp, error)
+	errOf      func(*Resp) *WireError
+	errReply   func(*WireError) *Resp
+}
+
+var (
+	multExchange = wireExchange[Request, Response]{
+		what: "request", magic: requestMagic,
+		encodeReq: EncodeRequestBinary, decodeReq: DecodeRequestBinary, decodeResp: DecodeResponseBinary,
+		errOf:    func(r *Response) *WireError { return r.Err },
+		errReply: func(we *WireError) *Response { return &Response{Err: we} },
+	}
+	programExchange = wireExchange[Program, ProgramResponse]{
+		what: "program", magic: programMagic,
+		encodeReq: EncodeProgramBinary, decodeReq: DecodeProgramBinary, decodeResp: DecodeProgramResponseBinary,
+		errOf: programErr, errReply: programErrReply,
+	}
+	// An invoke with no bindings (a program of literal inputs) is
+	// legitimate, so an empty body is one.
+	invokeExchange = wireExchange[InvokeRequest, ProgramResponse]{
+		what: "invoke request", magic: invokeMagic, emptyOK: true,
+		encodeReq: EncodeInvokeRequestBinary, decodeReq: DecodeInvokeRequestBinary, decodeResp: DecodeProgramResponseBinary,
+		errOf: programErr, errReply: programErrReply,
+	}
+)
+
+func programErr(r *ProgramResponse) *WireError { return r.Err }
+
+func programErrReply(we *WireError) *ProgramResponse { return &ProgramResponse{Err: we} }
+
+// readWire sniffs a request body's encoding — the exchange's envelope
+// magic, else JSON — and decodes it accordingly, so every endpoint
+// accepts both forms without a flag, exactly like the matrix upload
+// endpoint.
+func readWire[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, ex wireExchange[Req, Resp]) (*Req, error) {
+	br := getReqReader(http.MaxBytesReader(w, r.Body, s.maxBody))
+	defer putReqReader(br)
+	head, _ := br.Peek(4)
+	switch {
+	case len(head) == 0 && ex.emptyOK:
+		return new(Req), nil
+	case string(head) == ex.magic:
+		return ex.decodeReq(br)
+	}
+	req := new(Req)
+	if err := json.NewDecoder(br).Decode(req); err != nil {
+		return nil, fmt.Errorf("spmspv: decoding %s: %w", ex.what, err)
+	}
+	return req, nil
+}
+
+// serveExchange is the server side of every negotiated endpoint: it
+// negotiates the reply form from Accept, reads the body (readWire),
+// runs it, and encodes the reply in the negotiated form. A failure is
+// answered in the endpoint's own reply type carrying the structured
+// wire error — in JSON when Accept itself was refused (406).
+func serveExchange[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, ex wireExchange[Req, Resp], run func(*Req) (*Resp, error)) {
 	wire, ok := s.acceptedWire(r)
 	if !ok {
-		writeMultError(w, ContentTypeJSON, wireErrorf(CodeNotAcceptable,
-			"no supported type in Accept %q (offer %s or %s)",
-			r.Header.Get("Accept"), ContentTypeJSON, ContentTypeBinary))
+		writeWire(w, http.StatusNotAcceptable, ContentTypeJSON, ex.errReply(notAcceptable(r)))
 		return
 	}
-	br := getReqReader(http.MaxBytesReader(w, r.Body, s.maxBody))
-	req, err := decodeWireRequest(br)
-	putReqReader(br)
+	var resp *Resp
+	req, err := readWire(s, w, r, ex)
 	if err != nil {
-		writeMultError(w, wire, wireErrorf(CodeBadRequest, "%v", err))
+		err = wireErrorf(CodeBadRequest, "%v", err)
+	} else if resp, err = run(req); err == nil {
+		writeWire(w, http.StatusOK, wire, resp)
 		return
 	}
-	resp, err := s.do(req)
-	if err != nil {
-		writeMultError(w, wire, err)
-		return
-	}
-	writeWire(w, http.StatusOK, wire, resp)
-}
-
-// decodeWireRequest sniffs the body's encoding — the SPRQ envelope
-// magic or JSON — and decodes accordingly, so the endpoint accepts
-// both forms without a flag, exactly like the matrix upload endpoint.
-func decodeWireRequest(br *bufio.Reader) (*Request, error) {
-	head, _ := br.Peek(4)
-	if string(head) == requestMagic {
-		return DecodeRequestBinary(br)
-	}
-	var req Request
-	if err := json.NewDecoder(br).Decode(&req); err != nil {
-		return nil, fmt.Errorf("spmspv: decoding request: %w", err)
-	}
-	return &req, nil
-}
-
-// writeMultError writes a mult failure as a Response carrying the
-// structured wire error, in the negotiated wire form.
-func writeMultError(w http.ResponseWriter, wire string, err error) {
 	we := AsWireError(err)
-	writeWire(w, statusOf(we), wire, &Response{Err: we})
+	writeWire(w, statusOf(we), wire, ex.errReply(we))
+}
+
+func (s *Server) handleMult(w http.ResponseWriter, r *http.Request) {
+	serveExchange(s, w, r, multExchange, s.do)
 }
 
 func (s *Server) handleProgram(w http.ResponseWriter, r *http.Request) {
-	wire, ok := s.acceptedWire(r)
-	if !ok {
-		writeProgramError(w, ContentTypeJSON, wireErrorf(CodeNotAcceptable,
-			"no supported type in Accept %q (offer %s or %s)",
-			r.Header.Get("Accept"), ContentTypeJSON, ContentTypeBinary))
-		return
-	}
-	br := getReqReader(http.MaxBytesReader(w, r.Body, s.maxBody))
-	p, err := decodeWireProgram(br)
-	putReqReader(br)
-	if err != nil {
-		writeProgramError(w, wire, wireErrorf(CodeBadRequest, "%v", err))
-		return
-	}
-	resp, err := s.store.Run(p)
-	if err != nil {
-		writeProgramError(w, wire, err)
-		return
-	}
-	writeWire(w, http.StatusOK, wire, resp)
-}
-
-// decodeWireProgram sniffs the SPPG envelope magic vs JSON.
-func decodeWireProgram(br *bufio.Reader) (*Program, error) {
-	head, _ := br.Peek(4)
-	if string(head) == programMagic {
-		return DecodeProgramBinary(br)
-	}
-	var p Program
-	if err := json.NewDecoder(br).Decode(&p); err != nil {
-		return nil, fmt.Errorf("spmspv: decoding program: %w", err)
-	}
-	return &p, nil
-}
-
-func writeProgramError(w http.ResponseWriter, wire string, err error) {
-	we := AsWireError(err)
-	writeWire(w, statusOf(we), wire, &ProgramResponse{Err: we})
+	serveExchange(s, w, r, programExchange, s.store.Run)
 }
 
 // handlePutProgram registers a stored procedure: the body (SPPG or
@@ -489,9 +485,7 @@ func (s *Server) handlePutProgram(w http.ResponseWriter, r *http.Request) {
 		writeError(w, wireErrorf(CodeInvalidRequest, "%v", err))
 		return
 	}
-	br := getReqReader(http.MaxBytesReader(w, r.Body, s.maxBody))
-	p, err := decodeWireProgram(br)
-	putReqReader(br)
+	p, err := readWire(s, w, r, programExchange)
 	if err != nil {
 		writeError(w, wireErrorf(CodeBadRequest, "%v", err))
 		return
@@ -513,9 +507,7 @@ func (s *Server) handleListPrograms(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetProgram(w http.ResponseWriter, r *http.Request) {
 	wire, ok := s.acceptedWire(r)
 	if !ok {
-		writeError(w, wireErrorf(CodeNotAcceptable,
-			"no supported type in Accept %q (offer %s or %s)",
-			r.Header.Get("Accept"), ContentTypeJSON, ContentTypeBinary))
+		writeError(w, notAcceptable(r))
 		return
 	}
 	p, err := s.store.GetProgram(r.PathValue("name"))
@@ -540,44 +532,9 @@ func (s *Server) handleDeleteProgram(w http.ResponseWriter, r *http.Request) {
 // validation or compilation server-side, just seed vectors in and
 // emitted results out, in the negotiated wire form.
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	wire, ok := s.acceptedWire(r)
-	if !ok {
-		writeProgramError(w, ContentTypeJSON, wireErrorf(CodeNotAcceptable,
-			"no supported type in Accept %q (offer %s or %s)",
-			r.Header.Get("Accept"), ContentTypeJSON, ContentTypeBinary))
-		return
-	}
-	br := getReqReader(http.MaxBytesReader(w, r.Body, s.maxBody))
-	inv, err := decodeWireInvoke(br)
-	putReqReader(br)
-	if err != nil {
-		writeProgramError(w, wire, wireErrorf(CodeBadRequest, "%v", err))
-		return
-	}
-	resp, err := s.store.Invoke(r.PathValue("name"), inv)
-	if err != nil {
-		writeProgramError(w, wire, err)
-		return
-	}
-	writeWire(w, http.StatusOK, wire, resp)
-}
-
-// decodeWireInvoke sniffs the SPIV envelope magic vs JSON; an empty
-// body is a legitimate invoke with no bindings (a program of literal
-// inputs).
-func decodeWireInvoke(br *bufio.Reader) (*InvokeRequest, error) {
-	head, _ := br.Peek(4)
-	if len(head) == 0 {
-		return &InvokeRequest{}, nil
-	}
-	if string(head) == invokeMagic {
-		return DecodeInvokeRequestBinary(br)
-	}
-	var inv InvokeRequest
-	if err := json.NewDecoder(br).Decode(&inv); err != nil {
-		return nil, fmt.Errorf("spmspv: decoding invoke request: %w", err)
-	}
-	return &inv, nil
+	serveExchange(s, w, r, invokeExchange, func(inv *InvokeRequest) (*ProgramResponse, error) {
+		return s.store.Invoke(r.PathValue("name"), inv)
+	})
 }
 
 // do routes one request: through the coalescing batcher when it

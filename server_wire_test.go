@@ -1,9 +1,8 @@
 // Tests for the binary wire envelopes and the serving surface's
 // content negotiation: envelope round trips for all four message
-// types, the {JSON, binary} client × {JSON, binary} server matrix over
-// httptest for /v1/mult and /v1/program, the 406 path, the server
-// default wire knob, and the client's sticky JSON fallback against an
-// old JSON-only server.
+// types, the {JSON, binary} request × {JSON, binary} reply matrix over
+// httptest for /v1/mult, /v1/program and invoke, the 406 path, the
+// server default wire knob, and the client against a JSON-only server.
 package spmspv_test
 
 import (
@@ -175,7 +174,7 @@ func postRaw(t *testing.T, url, contentType, accept string, body []byte) (*http.
 }
 
 // TestServeWireNegotiationMatrix exercises {JSON, binary} request
-// encodings × {JSON, binary, wildcard} Accept headers against both
+// encodings × {JSON, binary, wildcard} Accept headers against the
 // negotiating endpoints, including the mixed case where a binary
 // request asks for a JSON response.
 func TestServeWireNegotiationMatrix(t *testing.T) {
@@ -383,6 +382,89 @@ func TestServeWireNegotiationMatrix(t *testing.T) {
 			t.Error("program result differs from reference")
 		}
 	})
+
+	// Invoke negotiates like the other two: an SPIV body answered in
+	// JSON, a JSON body answered in binary, and its failures — a refused
+	// Accept, a truncated SPIV body — in a ProgramResponse envelope.
+	t.Run("invoke", func(t *testing.T) {
+		if _, err := st.PutProgram("mult", &spmspv.Program{
+			Matrix: "g",
+			Ops: []spmspv.ProgramOp{
+				{Op: "input", Param: "x"},
+				{XRef: "$0", Desc: spmspv.Desc{Semiring: "arithmetic"}, Emit: true},
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		url := ts.URL + "/v1/programs/mult/invoke"
+		inv := &spmspv.InvokeRequest{Args: map[string]*spmspv.Vector{"x": x}}
+		invJSON, err := json.Marshal(inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var invBuf bytes.Buffer
+		if err := spmspv.EncodeInvokeRequestBinary(&invBuf, inv); err != nil {
+			t.Fatal(err)
+		}
+		invBin := invBuf.Bytes()
+
+		resp, data := postRaw(t, url, spmspv.ContentTypeBinary, spmspv.ContentTypeJSON, invBin)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("binary invoke: HTTP %d: %s", resp.StatusCode, data)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, spmspv.ContentTypeJSON) {
+			t.Fatalf("binary invoke, JSON Accept: Content-Type %q", ct)
+		}
+		var jsonOut spmspv.ProgramResponse
+		if err := json.Unmarshal(data, &jsonOut); err != nil {
+			t.Fatal(err)
+		}
+
+		resp, data = postRaw(t, url, spmspv.ContentTypeJSON, spmspv.ContentTypeBinary, invJSON)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("json invoke: HTTP %d: %s", resp.StatusCode, data)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != spmspv.ContentTypeBinary {
+			t.Fatalf("json invoke, binary Accept: Content-Type %q", ct)
+		}
+		binOut, err := spmspv.DecodeProgramResponseBinary(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for form, out := range map[string]*spmspv.ProgramResponse{"json": &jsonOut, "binary": binOut} {
+			if out.Err != nil || len(out.Results) != 1 {
+				t.Fatalf("%s reply: err %v, %d results", form, out.Err, len(out.Results))
+			}
+			if !out.Results[0].Y.EqualValues(want, 1e-9) {
+				t.Errorf("%s reply: invoke result differs from reference", form)
+			}
+		}
+
+		resp, data = postRaw(t, url, spmspv.ContentTypeJSON, "text/html", invJSON)
+		if resp.StatusCode != http.StatusNotAcceptable {
+			t.Fatalf("Accept text/html: HTTP %d, want 406", resp.StatusCode)
+		}
+		var refused spmspv.ProgramResponse
+		if err := json.Unmarshal(data, &refused); err != nil {
+			t.Fatal(err)
+		}
+		if refused.Err == nil || refused.Err.Code != spmspv.CodeNotAcceptable {
+			t.Fatalf("error envelope %+v, want code %q", refused.Err, spmspv.CodeNotAcceptable)
+		}
+
+		resp, data = postRaw(t, url, spmspv.ContentTypeBinary, spmspv.ContentTypeBinary, invBin[:len(invBin)-5])
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("truncated SPIV: HTTP %d, want 400", resp.StatusCode)
+		}
+		corrupt, err := spmspv.DecodeProgramResponseBinary(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if corrupt.Err == nil || corrupt.Err.Code != spmspv.CodeBadRequest {
+			t.Fatalf("error envelope %+v, want code %q", corrupt.Err, spmspv.CodeBadRequest)
+		}
+	})
 }
 
 // TestServeDefaultWireBinary pins WithDefaultWire: a preference-free
@@ -412,17 +494,19 @@ func TestServeDefaultWireBinary(t *testing.T) {
 	}
 }
 
-// TestClientWireFallback simulates an old JSON-only server — it 400s
-// anything it cannot JSON-decode, exactly like the pre-negotiation
-// handler — and checks the client falls back to JSON, succeeds, and
-// latches the downgrade so binary is attempted only once.
-func TestClientWireFallback(t *testing.T) {
+// TestClientJSONOnlyServer runs the client against a server that
+// speaks only JSON — it 400s anything it cannot JSON-decode, like the
+// handler from before the binary wire. A client pinned to JSON gets the
+// right result and never sends binary; a default client sends binary
+// exactly once and gets the server's bad_request back, with no retry.
+func TestClientJSONOnlyServer(t *testing.T) {
 	st, a, rng := storeWithMatrix(t, "g")
 	x := testutil.RandomVector(rng, a.NumCols, 12, true)
 	want := baselines.Reference(a, x, spmspv.Arithmetic)
 
-	var binaryAttempts atomic.Int64
+	var requests, binaryAttempts atomic.Int64
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
 		body, _ := io.ReadAll(r.Body)
 		if r.Header.Get("Content-Type") == spmspv.ContentTypeBinary {
 			binaryAttempts.Add(1)
@@ -446,29 +530,32 @@ func TestClientWireFallback(t *testing.T) {
 		json.NewEncoder(w).Encode(resp)
 	}))
 	t.Cleanup(old.Close)
+	req := &spmspv.Request{Matrix: "g", X: x, Desc: spmspv.Desc{Semiring: "arithmetic"}}
 
-	c := spmspv.NewClient(old.URL)
+	cj := spmspv.NewClient(old.URL, spmspv.WithWire(spmspv.ContentTypeJSON))
 	for i := 0; i < 3; i++ {
-		got, err := c.Do(&spmspv.Request{Matrix: "g", X: x, Desc: spmspv.Desc{Semiring: "arithmetic"}})
+		got, err := cj.Do(req)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 		if !got.Y.EqualValues(want, 1e-9) {
-			t.Fatalf("call %d: wrong result through fallback", i)
+			t.Fatalf("call %d: wrong result over JSON", i)
 		}
-	}
-	if n := binaryAttempts.Load(); n != 1 {
-		t.Errorf("binary attempted %d times, want 1 (sticky downgrade)", n)
-	}
-
-	// A client pinned to JSON never attempts binary at all.
-	binaryAttempts.Store(0)
-	cj := spmspv.NewClient(old.URL, spmspv.WithWire(spmspv.ContentTypeJSON))
-	if _, err := cj.Do(&spmspv.Request{Matrix: "g", X: x, Desc: spmspv.Desc{Semiring: "arithmetic"}}); err != nil {
-		t.Fatal(err)
 	}
 	if n := binaryAttempts.Load(); n != 0 {
 		t.Errorf("JSON-pinned client attempted binary %d times", n)
+	}
+
+	requests.Store(0)
+	_, err := spmspv.NewClient(old.URL).Do(req)
+	if err == nil {
+		t.Fatalf("default client succeeded; want the server's %s", spmspv.CodeBadRequest)
+	}
+	if we := spmspv.AsWireError(err); we.Code != spmspv.CodeBadRequest {
+		t.Fatalf("default client: err %v, want the server's %s", err, spmspv.CodeBadRequest)
+	}
+	if n, b := requests.Load(), binaryAttempts.Load(); n != 1 || b != 1 {
+		t.Errorf("default client sent %d requests, %d binary; want exactly one binary attempt", n, b)
 	}
 }
 

@@ -15,37 +15,25 @@ import (
 )
 
 // ShardBackend is the surface the shard coordinator drives on each
-// shard replica: an Executor that also manages named matrices. Both
-// *Store (in-process shards) and *Client (remote spmspv-serve shards
-// over the binary wire) satisfy it, so a coordinator mixes local and
-// remote backends freely. A backend that additionally implements
-//
-//	Health(ctx context.Context) (*HealthStatus, error)
-//
-// (as *Store and *Client both do) is health-probed by the membership
-// layer; one without it is assumed alive until serving calls say
-// otherwise.
+// shard replica: an Executor that also manages named matrices and
+// answers the membership layer's liveness probe (Health; GET
+// /v1/health for remote workers). Both *Store (in-process shards) and
+// *Client (remote spmspv-serve shards over the binary wire) satisfy
+// it, so a coordinator mixes local and remote backends freely.
 type ShardBackend interface {
 	Executor
 	PutMatrix(name string, a *Matrix) (*StoreStat, error)
 	DeleteMatrix(name string) error
 	Matrix(name string) (*StoreStat, error)
-}
-
-// healthProber is the optional probe surface of a ShardBackend: the
-// membership layer's periodic liveness check (GET /v1/health for
-// remote workers).
-type healthProber interface {
 	Health(ctx context.Context) (*HealthStatus, error)
 }
 
 // contextExecutor is the optional cancellable form of Executor. When a
-// backend offers it (*Store and *Client both do), the coordinator runs
-// each shard attempt under its per-attempt timeout, so a hung shard is
-// abandoned and retried instead of stalling the whole scatter.
+// backend offers it (*Client does), the coordinator runs each shard
+// attempt under its per-attempt timeout, so a hung shard is abandoned
+// and retried instead of stalling the whole scatter.
 type contextExecutor interface {
 	DoContext(ctx context.Context, req *Request) (*Response, error)
-	RunContext(ctx context.Context, p *Program) (*ProgramResponse, error)
 }
 
 // ShardedStore distributes named matrices across replicated shard
@@ -298,14 +286,9 @@ func NewLocalShardedStore(n int, storeOpts []Option, opts ...ShardOption) (*Shar
 }
 
 // probeMember is the membership layer's Prober: member i's backend is
-// health-checked through its optional Health method; backends without
-// one (custom in-process implementations) count as healthy.
+// health-checked through its Health method.
 func (ss *ShardedStore) probeMember(ctx context.Context, i int) error {
-	hp, ok := ss.flat[i].(healthProber)
-	if !ok {
-		return nil
-	}
-	_, err := hp.Health(ctx)
+	_, err := ss.flat[i].Health(ctx)
 	return err
 }
 
@@ -682,17 +665,15 @@ func retryableShardErr(err error) bool {
 }
 
 // call issues one shard-replica request, under the per-attempt timeout
-// when the backend supports cancellation. In-process stores skip the
-// context: they cannot hang on a transport, so the deadline timer
-// would be pure per-call overhead on the hot path.
+// when the backend supports cancellation. In-process backends do not:
+// they cannot hang on a transport, so a deadline timer would be pure
+// per-call overhead on the hot path.
 func (ss *ShardedStore) call(w, r int, req *Request) (*Response, error) {
 	b := ss.groups[w][r]
-	if _, local := b.(*Store); !local && ss.timeout > 0 {
-		if ce, ok := b.(contextExecutor); ok {
-			ctx, cancel := context.WithTimeout(context.Background(), ss.timeout)
-			defer cancel()
-			return ce.DoContext(ctx, req)
-		}
+	if ce, ok := b.(contextExecutor); ok && ss.timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), ss.timeout)
+		defer cancel()
+		return ce.DoContext(ctx, req)
 	}
 	return b.Do(req)
 }
@@ -956,15 +937,6 @@ func (ss *ShardedStore) Do(req *Request) (*Response, error) {
 	return resp, err
 }
 
-// DoContext is Do with a pre-flight context check (the per-shard
-// attempts carry their own deadlines).
-func (ss *ShardedStore) DoContext(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wireErrorf(CodeInternal, "%v", err)
-	}
-	return ss.Do(req)
-}
-
 // Run executes a program with every mult op scattered across the
 // shards — the interpreter (op refs, masks-from-frontiers,
 // StopOnEmpty) is the same code path the single-process Store runs, so
@@ -997,14 +969,6 @@ func (ss *ShardedStore) progMult() progMultFunc {
 		}
 		return NewFrontier(resp.Y), nil
 	}
-}
-
-// RunContext is Run with a pre-flight context check (see DoContext).
-func (ss *ShardedStore) RunContext(ctx context.Context, p *Program) (*ProgramResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wireErrorf(CodeInternal, "%v", err)
-	}
-	return ss.Run(p)
 }
 
 // resolveMult reports the global shape requests are validated against

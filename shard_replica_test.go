@@ -43,6 +43,10 @@ func (f *killAfterBackend) Matrix(name string) (*spmspv.StoreStat, error) {
 	return f.inner.Matrix(name)
 }
 
+func (f *killAfterBackend) Health(ctx context.Context) (*spmspv.HealthStatus, error) {
+	return f.inner.Health(ctx)
+}
+
 // TestReplicaFailover is the tentpole acceptance test: with R replicas
 // per band, killing one replica mid-ProgramBFS must (a) produce a
 // parents vector bit-identical to the unsharded run, (b) consume ZERO

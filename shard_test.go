@@ -302,6 +302,10 @@ func (f *flakyBackend) DeleteMatrix(name string) error { return f.inner.DeleteMa
 
 func (f *flakyBackend) Matrix(name string) (*spmspv.StoreStat, error) { return f.inner.Matrix(name) }
 
+func (f *flakyBackend) Health(ctx context.Context) (*spmspv.HealthStatus, error) {
+	return f.inner.Health(ctx)
+}
+
 // TestShardedFaultInjection kills one shard mid-BFS and brings it back
 // while the coordinator is retrying: the run must complete with a
 // parents vector identical to the unsharded one, and the retry

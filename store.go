@@ -1,7 +1,6 @@
 package spmspv
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -275,26 +274,6 @@ func (st *Store) Do(req *Request) (*Response, error) {
 	}
 	stats.Observe(time.Since(t), false)
 	return resp, nil
-}
-
-// DoContext is Do with a context. In-process execution cannot be
-// interrupted mid-multiply, so the context is checked once before work
-// begins — enough for the sharded coordinator's per-attempt deadlines
-// to skip work whose caller already gave up.
-func (st *Store) DoContext(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wireErrorf(CodeInternal, "%v", err)
-	}
-	return st.Do(req)
-}
-
-// RunContext is Run with a context, checked once before execution (see
-// DoContext).
-func (st *Store) RunContext(ctx context.Context, p *Program) (*ProgramResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wireErrorf(CodeInternal, "%v", err)
-	}
-	return st.Run(p)
 }
 
 // PutMatrix registers a matrix and reports its fresh entry — the

@@ -9,7 +9,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"spmspv/internal/sparse"
 )
@@ -92,42 +91,16 @@ type wireSection struct {
 }
 
 // headerBufPool recycles the scratch buffers envelope encode uses for
-// the JSON header (whose length must precede it on the wire). Subject
-// to the same pooling knob as the sparse encoders, so benchmarks can
-// measure the unpooled baseline.
+// the JSON header (whose length must precede it on the wire).
 var headerBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getHeaderBuf() *bytes.Buffer {
-	if !WireBufferPoolingEnabled() {
-		return new(bytes.Buffer)
-	}
 	b := headerBufPool.Get().(*bytes.Buffer)
 	b.Reset()
 	return b
 }
 
-func putHeaderBuf(b *bytes.Buffer) {
-	if WireBufferPoolingEnabled() {
-		headerBufPool.Put(b)
-	}
-}
-
-// SetWireBufferPooling toggles the sync.Pool'd buffers behind every
-// binary wire encoder — the envelope header scratch and the sparse
-// codecs' buffered writers (on by default). It exists so benchmarks
-// can measure the pooled and unpooled encode paths as independent
-// levers; servers leave it on.
-func SetWireBufferPooling(on bool) {
-	wireBufferPooling.Store(on)
-	sparse.SetEncodePooling(on)
-}
-
-// WireBufferPoolingEnabled reports the current pooling setting.
-func WireBufferPoolingEnabled() bool { return wireBufferPooling.Load() }
-
-var wireBufferPooling atomic.Bool
-
-func init() { wireBufferPooling.Store(true) }
+func putHeaderBuf(b *bytes.Buffer) { headerBufPool.Put(b) }
 
 // SetMaxBitmapDim bounds the dimension the wire decoders (binary and
 // JSON alike) will materialize a bitmap payload — a request mask, a
