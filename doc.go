@@ -113,7 +113,11 @@
 // invoked by name with only seed vectors and scalar bindings on the
 // wire (POST .../invoke), with per-program serving counters on GET
 // /v1/programs — warm invoke traffic compiles nothing and ships less
-// than resending the op list. A Client implements the same Do/Run surface as the
+// than resending the op list. Loops run their accumulator unions in
+// place and recycle dead multiply outputs, so a served BFS level costs
+// no O(n) allocation or bitmap conversion. A program that emits a NaN
+// or ±Inf scalar fails with invalid_request: neither wire form can
+// carry one. A Client implements the same Do/Run surface as the
 // Store (the Executor interface), so algorithm code is
 // transport-agnostic, and failures carry structured wire errors
 // (Response.Err: code + message) either way. cmd/spmspv-serve wires it

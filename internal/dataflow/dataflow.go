@@ -22,6 +22,18 @@
 // parameters). The spmspv package owns the wire grammar and the
 // lowering; the compilation counter here is the cache-effectiveness
 // probe pinning that stored procedures compile once, not per invoke.
+//
+// Compilation also fixes each loop's register lifetimes (PlanLoop), so
+// a served loop pays no O(n) allocation or conversion per iteration:
+//   - accumulators run in place: a body union folding into its own
+//     carry (a BFS visited set, PageRank's ranks) adds into that
+//     frontier from the second iteration on, keeping its bitmap, so a
+//     mask_ref on it converts nothing;
+//   - dead frontiers are released: each iteration Releases the mult
+//     outputs it leaves dead, and a pooling backend hands them to the
+//     next iteration's multiply;
+//   - emits are copied when emitted, so neither step can change a
+//     result already recorded.
 package dataflow
 
 import (
@@ -134,6 +146,12 @@ type Instr struct {
 
 	Emit bool
 
+	// InPlace marks a loop-body KUnion as the loop's accumulator (see
+	// PlanLoop): from the second iteration on its x carry holds exactly
+	// this union's previous output, which nothing else can read, so the
+	// union adds y into that frontier in place.
+	InPlace bool
+
 	// Loop fields (KLoop). Carry refs resolve in the ENCLOSING scope
 	// and initialize the carry slots; Update refs resolve in the body
 	// scope and rebind the carries after each iteration; the exits
@@ -146,6 +164,15 @@ type Instr struct {
 	UntilEmpty int // body ref (vector): exit when empty
 	UntilBelow int // body ref (scalar): exit when < Threshold
 	Threshold  float64
+
+	// Register lifetimes (KLoop), computed once by PlanLoop: the body
+	// mults whose outputs are dead after every iteration, and the carry
+	// slots whose previous value (a body mult's output from the
+	// iteration before) is dead once an iteration has rebound them.
+	// runLoop Releases both, so a pooled mult output is reused by the
+	// next iteration instead of reallocated.
+	Dead      []int
+	DeadCarry []int
 }
 
 // Program is a compiled program: the default matrix, the top-level
@@ -166,7 +193,10 @@ type Value struct {
 
 // MultFunc executes instruction op's multiply against the named matrix
 // with the resolved input frontier and descriptor, returning the output
-// frontier. It is the single backend-specific step of execution.
+// frontier. It is the single backend-specific step of execution. The
+// output belongs to the execution, which Releases it once a loop leaves
+// it dead: a backend may hand out pooled frontiers, but never x or a
+// frontier it still uses.
 type MultFunc func(op int, matrix string, x *sparse.Frontier, d engine.Desc) (*sparse.Frontier, error)
 
 // Env is one execution's bindings: invoke-time vector arguments and
@@ -210,6 +240,84 @@ func CountCompilation() { compilations.Add(1) }
 // Compilations reports the process-wide program compilation count.
 func Compilations() int64 { return compilations.Load() }
 
+// PlanLoop computes a compiled loop's register lifetimes once, at
+// compile time, and stores them on the loop's Instr: the body unions
+// that accumulate in place (InPlace) and the frontiers each iteration
+// leaves dead (Dead, DeadCarry). The compiler calls it on every loop
+// once the body, update and exits are lowered, so inner loops are
+// planned first.
+//
+// A union at body index u accumulates in place when all of these hold:
+//   - its x_ref is carry ^c, and update[c] names u;
+//   - no other update slot names u or ^c;
+//   - no later body op reads u or ^c, a nested loop's carry included;
+//   - neither exit names u or ^c;
+//   - its y_ref is not ^c.
+//
+// From the second iteration on, ^c then holds u's previous output and
+// nothing else can read that frontier, so writing it changes no value
+// anyone sees. A nested loop's value may be one of its carries passed
+// through, so a nested loop counts as naming every ref it carries.
+func PlanLoop(in *Instr) {
+	body := in.Body
+	// names reports whether ref r may hold target's frontier.
+	var names func(r, target int) bool
+	names = func(r, target int) bool {
+		if r == target {
+			return true
+		}
+		if r < 0 || body[r].Kind != KLoop {
+			return false
+		}
+		for _, c := range body[r].Carry {
+			if names(c, target) {
+				return true
+			}
+		}
+		return false
+	}
+	// updated reports whether an update slot other than skip names
+	// target.
+	updated := func(target, skip int) bool {
+		for i, r := range in.Update {
+			if i != skip && names(r, target) {
+				return true
+			}
+		}
+		return false
+	}
+	// readAfter reports whether target is read after body op u: by a
+	// later op, an update slot other than skip, or an exit.
+	readAfter := func(target, u, skip int) bool {
+		for j := u + 1; j < len(body); j++ {
+			op := &body[j]
+			for _, r := range append([]int{op.XRef, op.YRef, op.MaskRef, op.AlphaRef}, op.Carry...) {
+				if names(r, target) {
+					return true
+				}
+			}
+		}
+		return updated(target, skip) || names(in.UntilEmpty, target) || names(in.UntilBelow, target)
+	}
+	for u := range body {
+		op := &body[u]
+		c, isCarry := IsCarryRef(op.XRef)
+		op.InPlace = op.Kind == KUnion && isCarry && in.Update[c] == u &&
+			!names(op.YRef, op.XRef) && !readAfter(u, u, c) && !readAfter(op.XRef, u, c)
+	}
+	in.Dead, in.DeadCarry = nil, nil
+	for j := range body {
+		if body[j].Kind == KMult && !updated(j, -1) {
+			in.Dead = append(in.Dead, j)
+		}
+	}
+	for c, r := range in.Update {
+		if r >= 0 && body[r].Kind == KMult && !updated(r, c) && !updated(CarryRef(c), -1) {
+			in.DeadCarry = append(in.DeadCarry, c)
+		}
+	}
+}
+
 // exec carries one execution's shared state across scopes.
 type exec struct {
 	p     *Program
@@ -235,6 +343,12 @@ func (s *scope) resolve(r int) Value {
 // Exec runs the program. Structural errors cannot occur here (the
 // compiler rejected them); runtime errors — dimension disagreement,
 // unbound parameters, a failing multiply — abort execution.
+//
+// Inside a loop, Exec follows the lifetimes PlanLoop stored on it: an
+// accumulator union adds into its carry's frontier in place from the
+// second iteration on, and each iteration Releases the mult outputs it
+// leaves dead. Every emitted vector is copied when it is emitted, so
+// neither step can change a result already recorded.
 func (p *Program) Exec(env Env) (*Result, error) {
 	if env.Mult == nil {
 		return nil, fmt.Errorf("dataflow: Exec without a multiply hook")
@@ -258,10 +372,15 @@ func (p *Program) Exec(env Env) (*Result, error) {
 	return res, nil
 }
 
-// emit records one emitted value, enforcing the global cap.
+// emit records one emitted value, enforcing the global cap. A vector is
+// recorded as a copy: the register may be written in place or recycled
+// later in the run.
 func (e *exec) emit(op, bodyOp, iter int, v Value) error {
 	if len(e.emits) >= MaxEmits {
 		return fmt.Errorf("dataflow: more than %d emitted results", MaxEmits)
+	}
+	if !v.IsScalar {
+		v.F = sparse.NewFrontier(v.F.List().Clone())
 	}
 	e.emits = append(e.emits, Emit{Op: op, BodyOp: bodyOp, Iter: iter, V: v})
 	return nil
@@ -321,12 +440,17 @@ func (e *exec) run(k int, in *Instr, sc *scope, topOp, bodyOp, iter int) (Value,
 		v = Value{F: sparse.NewFrontier(y)}
 
 	case KUnion:
-		ax := sc.resolve(in.XRef).F.List()
+		xf := sc.resolve(in.XRef).F
 		ay := sc.resolve(in.YRef).F.List()
-		if ax.N != ay.N {
-			return v, fmt.Errorf("op %d: union of dimensions %d and %d", topOp, ax.N, ay.N)
+		if xf.N() != ay.N {
+			return v, fmt.Errorf("op %d: union of dimensions %d and %d", topOp, xf.N(), ay.N)
 		}
-		v = Value{F: sparse.NewFrontier(sparse.EwiseAdd(ax, ay, nil))}
+		if in.InPlace && iter > 1 {
+			xf.UnionInPlace(ay)
+			v = Value{F: xf}
+		} else {
+			v = Value{F: sparse.NewFrontier(sparse.EwiseAdd(xf.List(), ay, nil))}
+		}
 
 	case KScale:
 		alpha, err := e.alpha(in, sc, topOp)
@@ -398,13 +522,15 @@ func (e *exec) run(k int, in *Instr, sc *scope, topOp, bodyOp, iter int) (Value,
 // runLoop executes one KLoop: carries are initialized from the
 // enclosing scope, each iteration runs the body in a fresh frame and
 // rebinds the carries from the Update refs, and the exits are checked
-// after the body — every loop runs at least once.
+// after the body — every loop runs at least once. After the exits, the
+// iteration Releases its dead frontiers (see PlanLoop).
 func (e *exec) runLoop(k int, in *Instr, sc *scope, topOp int) (Value, error) {
 	carries := make([]Value, len(in.Carry))
 	for i, r := range in.Carry {
 		carries[i] = sc.resolve(r)
 	}
 	body := &scope{outs: make([]Value, len(in.Body)), carries: carries}
+	next := make([]Value, len(in.Update))
 	for iter := 1; ; iter++ {
 		for j := range body.outs {
 			body.outs[j] = Value{}
@@ -416,7 +542,6 @@ func (e *exec) runLoop(k int, in *Instr, sc *scope, topOp int) (Value, error) {
 			}
 			body.outs[j] = bv
 		}
-		next := make([]Value, len(in.Update))
 		for i, r := range in.Update {
 			next[i] = body.resolve(r)
 		}
@@ -427,7 +552,15 @@ func (e *exec) runLoop(k int, in *Instr, sc *scope, topOp int) (Value, error) {
 		if in.UntilBelow != RefNone && body.resolve(in.UntilBelow).S < in.Threshold {
 			done = true
 		}
-		body.carries = next
+		for _, j := range in.Dead {
+			body.outs[j].F.Release()
+		}
+		if iter > 1 { // the carries hold this body's outputs, not outer values
+			for _, c := range in.DeadCarry {
+				body.carries[c].F.Release()
+			}
+		}
+		body.carries, next = next, body.carries
 		if done {
 			break
 		}

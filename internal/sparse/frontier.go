@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -26,8 +27,8 @@ import (
 // Reading a Frontier concurrently is safe — Materialize/Bits
 // serialize the one-time conversion internally, so several engines
 // (or one engine's concurrent calls) may share a frontier. Mutation
-// (SetList, BeginOutput, UpdateValues, Refine, Release) requires
-// exclusive access.
+// (SetList, BeginOutput, UpdateValues, Refine, UnionInPlace, Release)
+// requires exclusive access.
 type Frontier struct {
 	list *SpVec
 	// mu serializes the lazy bitmap materialization; it is taken once
@@ -217,6 +218,91 @@ func (f *Frontier) Refine(fn func(i Index, v float64) (float64, bool)) {
 	}
 	l.Ind = l.Ind[:w]
 	l.Val = l.Val[:w]
+}
+
+// UnionInPlace sets f to the element-wise union of f and y, collisions
+// added: bit for bit what EwiseAdd(f.List(), y, nil) returns, including
+// the Sorted flag. It rebuilds neither representation. Each new index
+// of y sets its bit on f's retained bitmap and is merged into the
+// sorted list; each collision adds into the bitmap's copy of its value,
+// and one pass over the list copies the sums back. The bitmap is
+// materialized first if it is not already, so later Bits calls convert
+// nothing. The cost is O(nnz(y)), plus O(nnz(f)) when y collides with
+// f, plus a merge that moves only the list entries above y's smallest
+// new index. This is the accumulator step of a loop: a visited set,
+// which y never collides with, or a rank vector.
+//
+// f's list must be private to f and sorted, as an EwiseAdd result is.
+// y is read only and may be unsorted or hold duplicate indices.
+func (f *Frontier) UnionInPlace(y *SpVec) {
+	l := f.list
+	if l.N != y.N {
+		panic("sparse: Frontier.UnionInPlace dimension mismatch")
+	}
+	if !l.Sorted {
+		panic("sparse: Frontier.UnionInPlace into an unsorted list")
+	}
+	f.Materialize()
+	f.isOutput = false
+	b := f.bits
+	var fresh []Index // y's new indices, first occurrences only
+	collided := false
+	for k, i := range y.Ind {
+		w, bit := int(i)>>6, uint64(1)<<(uint(i)&63)
+		if b.Words[w]&bit != 0 {
+			b.Val[i] += y.Val[k]
+			collided = true
+			continue
+		}
+		b.Words[w] |= bit
+		b.nset++
+		b.Val[i] = y.Val[k]
+		if fresh == nil {
+			fresh = make([]Index, 0, len(y.Ind)-k)
+		}
+		fresh = append(fresh, i)
+	}
+	if collided { // the sums are in the bitmap; copy them to the list
+		for k, i := range l.Ind {
+			l.Val[k] = b.Val[i]
+		}
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	if !y.Sorted {
+		slices.Sort(fresh)
+	}
+	// Merge from the back. Each new index fresh[q], largest first, scans
+	// down to its place among the m old entries not yet moved. The old
+	// entries above it move up q+1 slots, one for each of fresh[0..q],
+	// in one copy.
+	m := len(l.Ind)
+	l.Ind = grown(l.Ind, m+len(fresh))
+	l.Val = grown(l.Val, len(l.Ind))
+	for q := len(fresh) - 1; q >= 0; q-- {
+		i := fresh[q]
+		p := m
+		for p > 0 && l.Ind[p-1] > i {
+			p--
+		}
+		copy(l.Ind[p+q+1:], l.Ind[p:m])
+		copy(l.Val[p+q+1:], l.Val[p:m])
+		l.Ind[p+q], l.Val[p+q] = i, b.Val[i]
+		m = p
+	}
+}
+
+// grown returns s extended to length n, at least doubling the capacity
+// when it has to reallocate, so an accumulator grown one level at a
+// time copies O(final size) in total.
+func grown[E any](s []E, n int) []E {
+	if n > cap(s) {
+		t := make([]E, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	return s[:n]
 }
 
 // dropBits erases the materialized bitmap cheaply (O(nnz), not O(n)).

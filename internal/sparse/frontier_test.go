@@ -1,6 +1,9 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,4 +153,108 @@ func TestFrontierPoolConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestFrontierUnionInPlaceMatchesEwiseAdd is the property test of the
+// in-place accumulator: on random sorted accumulators, a chain of
+// unions with sorted, unsorted, duplicate-laden, colliding and empty
+// operands must leave exactly EwiseAdd's result (indices, value bits
+// and the Sorted flag), keep the bitmap mirroring the list, and never
+// touch the operand.
+func TestFrontierUnionInPlaceMatchesEwiseAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	// val spans magnitudes so that a wrong addition order changes bits.
+	val := func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6)) }
+	subset := func(n Index, density float64) []Index {
+		var ind []Index
+		for i := Index(0); i < n; i++ {
+			if rng.Float64() < density {
+				ind = append(ind, i)
+			}
+		}
+		return ind
+	}
+	vec := func(n Index, ind []Index) *SpVec {
+		v := NewSpVec(n, len(ind))
+		for _, i := range ind {
+			v.Append(i, val())
+		}
+		return v
+	}
+	operands := map[string]func(n Index, acc *SpVec) *SpVec{
+		"sorted": func(n Index, _ *SpVec) *SpVec { return vec(n, subset(n, rng.Float64())) },
+		"unsorted": func(n Index, _ *SpVec) *SpVec {
+			ind := subset(n, rng.Float64())
+			rng.Shuffle(len(ind), func(a, b int) { ind[a], ind[b] = ind[b], ind[a] })
+			return vec(n, ind)
+		},
+		"duplicates": func(n Index, _ *SpVec) *SpVec {
+			ind := make([]Index, rng.Intn(2*int(n)+1))
+			for k := range ind {
+				ind[k] = Index(rng.Intn(int(n)))
+			}
+			return vec(n, ind)
+		},
+		"colliding": func(n Index, acc *SpVec) *SpVec {
+			var ind []Index
+			for _, i := range acc.Ind {
+				if rng.Intn(3) > 0 {
+					ind = append(ind, i)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				rng.Shuffle(len(ind), func(a, b int) { ind[a], ind[b] = ind[b], ind[a] })
+			}
+			return vec(n, ind)
+		},
+		"empty": func(n Index, _ *SpVec) *SpVec { return NewSpVec(n, 0) },
+	}
+	for name, operand := range operands {
+		for trial := 0; trial < 60; trial++ {
+			n := Index(1 + rng.Intn(300))
+			want := vec(n, subset(n, rng.Float64()))
+			f := NewFrontier(want.Clone())
+			if rng.Intn(2) == 0 {
+				f.Materialize()
+			}
+			for step := 0; step < 3; step++ {
+				y := operand(n, want)
+				y0 := y.Clone()
+				want = EwiseAdd(want, y, nil)
+				f.UnionInPlace(y)
+				got := f.List()
+				label := fmt.Sprintf("%s trial %d step %d", name, trial, step)
+				if len(got.Ind) != len(want.Ind) || got.Sorted != want.Sorted {
+					t.Fatalf("%s: nnz %d sorted %v, want nnz %d sorted %v",
+						label, len(got.Ind), got.Sorted, len(want.Ind), want.Sorted)
+				}
+				for k := range want.Ind {
+					if got.Ind[k] != want.Ind[k] || math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+						t.Fatalf("%s: entry %d is (%d, %v), want (%d, %v)",
+							label, k, got.Ind[k], got.Val[k], want.Ind[k], want.Val[k])
+					}
+				}
+				if !f.HasBits() {
+					t.Fatalf("%s: bitmap not kept", label)
+				}
+				b := f.Bits()
+				if b.Count() != got.NNZ() {
+					t.Fatalf("%s: bitmap counts %d bits for %d entries", label, b.Count(), got.NNZ())
+				}
+				for k, i := range got.Ind {
+					if !b.Test(i) || math.Float64bits(b.Val[i]) != math.Float64bits(got.Val[k]) {
+						t.Fatalf("%s: bitmap entry %d does not mirror the list", label, i)
+					}
+				}
+				if len(y.Ind) != len(y0.Ind) || y.Sorted != y0.Sorted {
+					t.Fatalf("%s: operand changed shape", label)
+				}
+				for k := range y0.Ind {
+					if y.Ind[k] != y0.Ind[k] || math.Float64bits(y.Val[k]) != math.Float64bits(y0.Val[k]) {
+						t.Fatalf("%s: operand entry %d changed", label, k)
+					}
+				}
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -608,6 +609,7 @@ func compileOp(op *ProgramOp, k int, cs *compScope, depth int) (dataflow.Instr, 
 			in.UntilBelow = r
 			in.Threshold = op.Threshold
 		}
+		dataflow.PlanLoop(&in)
 		return in, carryKinds[0], nil
 
 	default:
@@ -643,7 +645,9 @@ func runProgramOps(p *Program, mult progMultFunc) (*ProgramResponse, error) {
 // bindings (nil for ad-hoc runs) and folds the dataflow result into the
 // wire response. Multiply errors pass through as their original
 // *WireError; interpreter errors (dimension disagreement, unbound
-// parameters) surface as invalid_request.
+// parameters) and an emitted scalar that is NaN or ±Inf surface as
+// invalid_request. Scalars that are not emitted (loop exits, alpha_ref
+// operands) may take any value.
 func execCompiled(cp *dataflow.Program, inv *InvokeRequest, mult progMultFunc) (*ProgramResponse, error) {
 	env := dataflow.Env{Mult: dataflow.MultFunc(mult)}
 	if inv != nil {
@@ -669,6 +673,12 @@ func execCompiled(cp *dataflow.Program, inv *InvokeRequest, mult progMultFunc) (
 			}
 			if em.V.IsScalar {
 				s := em.V.S
+				if math.IsNaN(s) || math.IsInf(s, 0) {
+					// Neither wire form can carry it: JSON has no
+					// literal for it, and the binary envelope's header
+					// is JSON too.
+					return nil, wireErrorf(CodeInvalidRequest, "%s emitted the non-finite scalar %v", emitSite(em), s)
+				}
 				r.Scalar = &s
 			} else {
 				r.Y = em.V.F.List()
@@ -679,8 +689,18 @@ func execCompiled(cp *dataflow.Program, inv *InvokeRequest, mult progMultFunc) (
 	return resp, nil
 }
 
+// emitSite names the op behind an emitted result for error messages.
+func emitSite(em dataflow.Emit) string {
+	if em.Iter > 0 {
+		return fmt.Sprintf("op %d (body op %d, iteration %d)", em.Op, em.BodyOp, em.Iter)
+	}
+	return fmt.Sprintf("op %d", em.Op)
+}
+
 // progMult returns the Store's multiply hook: request-level validation
-// pinned to the named matrix's dimensions, then the cached engine.
+// pinned to the named matrix's dimensions, then the cached engine,
+// writing into a pooled output frontier that the interpreter Releases
+// once a loop leaves it dead.
 func (st *Store) progMult() progMultFunc {
 	return func(k int, name string, xf *Frontier, d Desc) (*Frontier, error) {
 		mu, stats, err := st.load(name)
@@ -695,11 +715,7 @@ func (st *Store) progMult() progMultFunc {
 			stats.Observe(0, true)
 			return nil, wireErrorf(CodeInvalidRequest, "op %d: %v", k, err)
 		}
-		outDim := a.NumRows
-		if d.Transpose {
-			outDim = a.NumCols
-		}
-		yf := NewOutputFrontier(outDim)
+		yf := mu.getOutput(d.Transpose)
 		t := time.Now()
 		mu.Mult(xf, yf, Semiring{}, d)
 		stats.Observe(time.Since(t), false)

@@ -19,12 +19,15 @@ package spmspv_test
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	spmspv "spmspv"
 	"spmspv/internal/dataflow"
+	"spmspv/internal/graphgen"
+	"spmspv/internal/sparse"
 )
 
 func BenchmarkProgramServe(b *testing.B) {
@@ -151,4 +154,70 @@ func BenchmarkProgramServe(b *testing.B) {
 		b.StopTimer()
 		report(b, wire, trips, 0)
 	})
+}
+
+// BenchmarkProgramBFSMesh pairs a served stored BFS with the in-process
+// masked BFS on the high-diameter mesh (grid5-g3circuit, scale 13): a
+// BFS from vertex 0 runs a few hundred levels of a few dozen vertices
+// each, so any O(n) work per level in the dataflow layer dominates.
+// mode=invoke is Store.Invoke of a registered BFSProgram; mode=lib is
+// BFSMasked on the store's own multiplier. Both run with sorted and
+// with unsorted engine output. Each op is one whole BFS; conv/op counts
+// list→bitmap conversions per BFS (sparse.FrontierConversions), which
+// must stay a constant per op, not one per level.
+func BenchmarkProgramBFSMesh(b *testing.B) {
+	p, _ := graphgen.FindProblem("grid5-g3circuit")
+	a := p.Build(13)
+	n := a.NumCols
+	seed := spmspv.NewVector(n, 1)
+	seed.Append(0, 0)
+	inv := &spmspv.InvokeRequest{Args: map[string]*spmspv.Vector{"seed": seed}}
+	for _, sorted := range []bool{true, false} {
+		st := spmspv.NewStore(spmspv.WithSortOutput(sorted))
+		if err := st.Put("mesh", a); err != nil {
+			b.Fatal(err)
+		}
+		mu, err := st.Load("mesh")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.PutProgram("bfs", spmspv.BFSProgram("mesh", int(n), nil)); err != nil {
+			b.Fatal(err)
+		}
+		want := spmspv.BFSMasked(mu, 0)
+		invoke := func() {
+			resp, err := st.Invoke("bfs", inv)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := spmspv.DecodeBFSProgramResponse(resp, n, 0, int(n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got.FrontierSizes) != len(want.FrontierSizes) {
+				b.Fatalf("served BFS ran %d levels, in-process %d", len(got.FrontierSizes), len(want.FrontierSizes))
+			}
+		}
+		modes := []struct {
+			name string
+			op   func()
+		}{
+			{"invoke", invoke},
+			{"lib", func() { spmspv.BFSMasked(mu, 0) }},
+		}
+		for _, m := range modes {
+			b.Run(fmt.Sprintf("sort=%v/mode=%s", sorted, m.name), func(b *testing.B) {
+				m.op() // warm the output pools
+				b.ReportAllocs()
+				spmspv.ResetFrontierStats()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.op()
+				}
+				b.StopTimer()
+				conv, _ := sparse.FrontierConversions()
+				b.ReportMetric(float64(conv)/float64(b.N), "conv/op")
+			})
+		}
+	}
 }

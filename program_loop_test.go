@@ -7,13 +7,17 @@
 package spmspv_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"sync"
 	"testing"
 
 	spmspv "spmspv"
 	"spmspv/internal/dataflow"
 	"spmspv/internal/engine"
+	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
 )
 
@@ -485,4 +489,301 @@ func TestStoredProgramScalarBindings(t *testing.T) {
 		}
 		comparePageRank(t, label, got, want)
 	}
+}
+
+// unrollLoop appends the straight-line form of a loop run for exactly
+// iters iterations to ops, with carry naming the refs the carries start
+// from, and returns the refs of the final carries. Nested loops unroll
+// in place for their own max_iters; exits are not modelled, so callers
+// pick loops whose exits cannot fire early.
+func unrollLoop(ops *[]spmspv.ProgramOp, loop spmspv.ProgramOp, carry []string, iters int) []string {
+	for it := 0; it < iters; it++ {
+		refs := make([]string, len(loop.Body))
+		remap := func(r string) string {
+			if r == "" || (r[0] != '$' && r[0] != '^') {
+				return r
+			}
+			k, err := strconv.Atoi(r[1:])
+			if err != nil {
+				panic(err)
+			}
+			if r[0] == '^' {
+				return carry[k]
+			}
+			return refs[k]
+		}
+		for j, op := range loop.Body {
+			if op.Op == "loop" {
+				inner := make([]string, len(op.Carry))
+				for i, r := range op.Carry {
+					inner[i] = remap(r)
+				}
+				refs[j] = unrollLoop(ops, op, inner, op.MaxIters)[0]
+				continue
+			}
+			op.XRef, op.YRef, op.MaskRef, op.AlphaRef = remap(op.XRef), remap(op.YRef), remap(op.MaskRef), remap(op.AlphaRef)
+			*ops = append(*ops, op)
+			refs[j] = "$" + strconv.Itoa(len(*ops)-1)
+		}
+		next := make([]string, len(loop.Update))
+		for i, r := range loop.Update {
+			next[i] = remap(r)
+		}
+		carry = next
+	}
+	return carry
+}
+
+// sameResults demands that two program responses emit the same values
+// in the same order, vectors' Sorted flags included.
+func sameResults(t *testing.T, label string, got, want *spmspv.ProgramResponse) {
+	t.Helper()
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("%s: %d results, want %d", label, len(got.Results), len(want.Results))
+	}
+	for q := range want.Results {
+		g, w := got.Results[q], want.Results[q]
+		if (g.Scalar == nil) != (w.Scalar == nil) || (g.Scalar != nil && math.Float64bits(*g.Scalar) != math.Float64bits(*w.Scalar)) {
+			t.Fatalf("%s: result %d scalar %v, want %v", label, q, g.Scalar, w.Scalar)
+		}
+		if g.Scalar == nil {
+			sameVector(t, fmt.Sprintf("%s: result %d", label, q), g.Y, w.Y)
+			if g.Y.Sorted != w.Y.Sorted {
+				t.Fatalf("%s: result %d sorted %v, want %v", label, q, g.Y.Sorted, w.Y.Sorted)
+			}
+		}
+	}
+}
+
+// TestProgramLoopInPlaceGuards pins the in-place accumulator union from
+// outside. An accumulating union's emits are per-iteration snapshots.
+// Each loop whose union must not run in place (the carry read after the
+// union, two update slots naming it, an exit naming it, y_ref equal to
+// x_ref, a nested loop passing the carry through) gives exactly what
+// its unrolled straight-line form gives. Invokes leave the caller's
+// seed and a stored program's literal input unchanged. Concurrent
+// invokes of one stored BFS share the store's output pool and must each
+// match BFS.
+func TestProgramLoopInPlaceGuards(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	st := spmspv.NewStore(spmspv.WithEngineOptions(engineOptions(2)))
+	const n = 40
+	inputs := []spmspv.ProgramOp{
+		{Op: "input", X: testutil.RandomVector(rng, n, 6, true)},  // $0
+		{Op: "input", X: testutil.RandomVector(rng, n, 9, false)}, // $1
+	}
+	union := func(x, y string) spmspv.ProgramOp {
+		return spmspv.ProgramOp{Op: "union", XRef: x, YRef: y, Emit: true}
+	}
+	snapshot := func(x string) spmspv.ProgramOp {
+		return spmspv.ProgramOp{Op: "scale", XRef: x, Alpha: fptr(1), Emit: true}
+	}
+	passThrough := spmspv.ProgramOp{ // a nested loop whose value is its carry
+		Op: "loop", Carry: []string{"^0"}, Update: []string{"^0"}, MaxIters: 2,
+		Body: []spmspv.ProgramOp{{Op: "scale", XRef: "^0", Alpha: fptr(1)}},
+	}
+	loops := map[string]spmspv.ProgramOp{
+		// The accumulator proper: it runs in place.
+		"accumulate": {Carry: []string{"$0", "$1"}, Update: []string{"$0", "^1"},
+			Body: []spmspv.ProgramOp{union("^0", "^1")}},
+		"decaying": {Carry: []string{"$0", "$1"}, Update: []string{"$1", "$0"},
+			Body: []spmspv.ProgramOp{
+				{Op: "scale", XRef: "^1", Alpha: fptr(0.5)},
+				union("^0", "$0"),
+			}},
+		// Guards: the union must not run in place.
+		"carryReadAfter": {Carry: []string{"$0", "$1"}, Update: []string{"$0", "^1"},
+			Body: []spmspv.ProgramOp{union("^0", "^1"), snapshot("^0")}},
+		"twoUpdates": {Carry: []string{"$0", "$0", "$1"}, Update: []string{"$0", "$0", "^2"},
+			Body: []spmspv.ProgramOp{union("^0", "^2"), snapshot("^1")}},
+		"untilEmptyUnion": {Carry: []string{"$0", "$1"}, Update: []string{"$0", "^1"}, UntilEmpty: "$0",
+			Body: []spmspv.ProgramOp{union("^0", "^1")}},
+		"untilEmptyCarry": {Carry: []string{"$0", "$1"}, Update: []string{"$0", "^1"}, UntilEmpty: "^0",
+			Body: []spmspv.ProgramOp{union("^0", "^1")}},
+		"yIsX": {Carry: []string{"$0"}, Update: []string{"$0"},
+			Body: []spmspv.ProgramOp{union("^0", "^0")}},
+		"nestedAliasReadAfter": {Carry: []string{"$0", "$1"}, Update: []string{"$1", "^1"},
+			Body: []spmspv.ProgramOp{passThrough, union("^0", "^1"), snapshot("$0")}},
+		"nestedAliasAsY": {Carry: []string{"$0", "$1"}, Update: []string{"$1", "^1"},
+			Body: []spmspv.ProgramOp{passThrough, union("^0", "$0")}},
+	}
+	const iters = 5
+	for name, loop := range loops {
+		loop.Op, loop.MaxIters, loop.Emit = "loop", iters, true
+		got, err := st.Run(&spmspv.Program{Ops: append(append([]spmspv.ProgramOp(nil), inputs...), loop)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ops := append([]spmspv.ProgramOp(nil), inputs...)
+		final := unrollLoop(&ops, loop, loop.Carry, iters)
+		ops = append(ops, snapshot(final[0]))
+		want, err := st.Run(&spmspv.Program{Ops: ops})
+		if err != nil {
+			t.Fatalf("%s unrolled: %v", name, err)
+		}
+		sameResults(t, name, got, want)
+	}
+
+	// Dead multiply outputs go back to the store's pool: a walk whose
+	// carry is rebound to a multiply each iteration, started from a
+	// top-level multiply that is read again after the loop.
+	if err := st.Put("w", testutil.RandomCSC(rng, n, n, 3)); err != nil {
+		t.Fatal(err)
+	}
+	arith := spmspv.Desc{Semiring: "arithmetic"}
+	walk := spmspv.ProgramOp{Op: "loop", Carry: []string{"$1"}, Update: []string{"$1"}, MaxIters: iters, Emit: true,
+		Body: []spmspv.ProgramOp{
+			{XRef: "^0", Desc: arith, Emit: true},
+			{XRef: "$0", Desc: arith, Emit: true},
+		}}
+	ops := []spmspv.ProgramOp{inputs[0], {XRef: "$0", Desc: arith}, walk, snapshot("$1")}
+	got, err := st.Run(&spmspv.Program{Matrix: "w", Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops = ops[:2]
+	final := unrollLoop(&ops, walk, walk.Carry, iters)
+	ops = append(ops, snapshot(final[0]), snapshot("$1"))
+	want, err := st.Run(&spmspv.Program{Matrix: "w", Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "walk", got, want)
+
+	// Seeds and literals survive repeated invokes.
+	a := testutil.RandomCSC(rng, 120, 120, 3)
+	if err := st.Put("g", a); err != nil {
+		t.Fatal(err)
+	}
+	pr := spmspv.NormalizeColumns(a)
+	if err := st.Put("pr", pr); err != nil {
+		t.Fatal(err)
+	}
+	seed := bfsSeedVec(a.NumCols, 4)
+	literal := spmspv.PageRankSeed(pr.NumCols, 0.85)
+	seed0, literal0 := seed.Clone(), literal.Clone()
+	if _, err := st.PutProgram("bfs", spmspv.BFSProgram("g", int(a.NumCols), nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.PutProgram("pagerank", spmspv.PageRankProgram("pr", spmspv.PageRankOptions{Tol: 1e-6}, literal)); err != nil {
+		t.Fatal(err)
+	}
+	mu, err := st.Load("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := &spmspv.InvokeRequest{Args: map[string]*spmspv.Vector{"seed": seed}}
+	for i := 0; i < 3; i++ {
+		spmspv.ResetFrontierStats()
+		resp, err := st.Invoke("bfs", inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The visited set keeps its bitmap across levels: the seed's and
+		// the accumulator's first bitmap are the only conversions.
+		if conv, _ := sparse.FrontierConversions(); conv > 2 {
+			t.Errorf("stored BFS converted %d frontiers, want at most 2", conv)
+		}
+		got, err := spmspv.DecodeBFSProgramResponse(resp, a.NumCols, 4, int(a.NumCols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareBFS(t, "repeat invoke", got, spmspv.BFS(mu, 4))
+		if _, err := st.Invoke("pagerank", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameVector(t, "seed argument after invokes", seed, seed0)
+	sameVector(t, "stored literal after invokes", literal, literal0)
+
+	// Concurrent invokes of one stored BFS.
+	const callers = 8
+	results := make([]*spmspv.BFSResult, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			src := spmspv.Index(c * 13)
+			inv := &spmspv.InvokeRequest{Args: map[string]*spmspv.Vector{"seed": bfsSeedVec(a.NumCols, src)}}
+			for rep := 0; rep < 3 && errs[c] == nil; rep++ {
+				var resp *spmspv.ProgramResponse
+				resp, errs[c] = st.Invoke("bfs", inv)
+				if errs[c] == nil {
+					results[c], errs[c] = spmspv.DecodeBFSProgramResponse(resp, a.NumCols, src, int(a.NumCols))
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c := 0; c < callers; c++ {
+		if errs[c] != nil {
+			t.Fatalf("caller %d: %v", c, errs[c])
+		}
+		compareBFS(t, fmt.Sprintf("concurrent caller %d", c), results[c], spmspv.BFS(mu, spmspv.Index(c*13)))
+	}
+}
+
+// TestProgramLoopsUnsortedOutput runs the loop programs under unsorted
+// engine output, the library default, on every engine: BFSProgram must
+// match BFS, and PageRankProgram must match PageRank bit for bit. The
+// other loop tests run sorted output; unsorted output is where the
+// accumulator union sees operands in arbitrary order.
+func TestProgramLoopsUnsortedOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	a := testutil.RandomCSC(rng, 150, 150, 3)
+	pr := spmspv.NormalizeColumns(testutil.RandomCSC(rng, 90, 90, 4))
+	opt := spmspv.PageRankOptions{Tol: 1e-6, MaxIter: 60}
+	eo := engineOptions(2)
+	eo.SortOutput = false
+	unsortedLevels := 0
+	for _, alg := range spmspv.Algorithms() {
+		st := spmspv.NewStore(spmspv.WithAlgorithm(alg), spmspv.WithEngineOptions(eo))
+		if err := st.Put("g", a); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put("pr", pr); err != nil {
+			t.Fatal(err)
+		}
+		mu, err := st.Load("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []spmspv.Index{0, 77} {
+			resp, err := st.Run(spmspv.BFSProgram("g", int(a.NumCols), bfsSeedVec(a.NumCols, src)))
+			if err != nil {
+				t.Fatalf("%v: %v", alg, err)
+			}
+			for _, r := range resp.Results {
+				if !r.Y.Sorted {
+					unsortedLevels++
+				}
+			}
+			got, err := spmspv.DecodeBFSProgramResponse(resp, a.NumCols, src, int(a.NumCols))
+			if err != nil {
+				t.Fatalf("%v: %v", alg, err)
+			}
+			compareBFS(t, fmt.Sprintf("%v/bfs from %d", alg, src), got, spmspv.BFS(mu, src))
+		}
+		mp, err := st.Load("pr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := spmspv.ProgramPageRank(st, "pr", pr.NumCols, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		comparePageRank(t, alg.String()+"/pagerank", got, spmspv.PageRank(mp, opt))
+	}
+	if unsortedLevels == 0 {
+		t.Fatal("no engine produced an unsorted BFS level; the test does not exercise unsorted output")
+	}
+}
+
+// bfsSeedVec is the one-entry BFS seed: the source's value is its id.
+func bfsSeedVec(n, src spmspv.Index) *spmspv.Vector {
+	x := spmspv.NewVector(n, 1)
+	x.Append(src, float64(src))
+	return x
 }

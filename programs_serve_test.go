@@ -6,7 +6,9 @@ package spmspv_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -207,4 +209,95 @@ func FuzzDecodeInvokeRequestBinary(f *testing.F) {
 		}
 		_ = got.Validate()
 	})
+}
+
+// TestProgramNonFiniteScalar pins the non-finite scalar rule. Neither
+// wire form can carry NaN or ±Inf, so a program that emits one (reduce
+// max of an empty vector is -Inf) fails with invalid_request (HTTP 400)
+// naming the op: in-process, and over both wire forms, for /v1/program
+// and invoke alike. A non-finite scalar that is not emitted (a loop
+// exit, an alpha_ref operand) runs normally.
+func TestProgramNonFiniteScalar(t *testing.T) {
+	empty := spmspv.NewVector(10, 0)
+	maxOf := func(input spmspv.ProgramOp) *spmspv.Program {
+		return &spmspv.Program{Ops: []spmspv.ProgramOp{
+			input,
+			{Op: "reduce", Reduce: "max", XRef: "$0", Emit: true},
+		}}
+	}
+	adhoc := maxOf(spmspv.ProgramOp{Op: "input", X: empty})
+	stored := maxOf(spmspv.ProgramOp{Op: "input", Param: "x"})
+	inv := &spmspv.InvokeRequest{Args: map[string]*spmspv.Vector{"x": empty}}
+	unemitted := &spmspv.Program{Ops: []spmspv.ProgramOp{
+		{Op: "input", X: empty},
+		{Op: "reduce", Reduce: "max", XRef: "$0"},             // $1: -Inf
+		{Op: "scale", XRef: "$0", AlphaRef: "$1", Emit: true}, // $2: -Inf·∅ = ∅
+		{Op: "loop", Emit: true, Carry: []string{"$0"}, MaxIters: 5, // exits on -Inf < 0
+			Update: []string{"$0"}, UntilBelow: "$1", Threshold: 0,
+			Body: []spmspv.ProgramOp{
+				{Op: "scale", XRef: "^0", Alpha: fptr(2)},
+				{Op: "reduce", Reduce: "max", XRef: "$0"},
+			}},
+	}}
+
+	st := spmspv.NewStore(spmspv.WithEngineOptions(engineOptions(2)))
+	if _, err := st.PutProgram("max", stored); err != nil {
+		t.Fatal(err)
+	}
+	_, url := serveClient(t, st)
+	executors := map[string]interface {
+		Run(*spmspv.Program) (*spmspv.ProgramResponse, error)
+		Invoke(string, *spmspv.InvokeRequest) (*spmspv.ProgramResponse, error)
+	}{
+		"in-process": st,
+		"binary":     spmspv.NewClient(url, spmspv.WithWire(spmspv.ContentTypeBinary)),
+		"json":       spmspv.NewClient(url, spmspv.WithWire(spmspv.ContentTypeJSON)),
+	}
+	for label, ex := range executors {
+		wantRejected := func(what string, resp *spmspv.ProgramResponse, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s %s: emitted -Inf accepted: %+v", label, what, resp)
+			}
+			we := spmspv.AsWireError(err)
+			if we.Code != spmspv.CodeInvalidRequest || !strings.Contains(we.Message, "op 1") ||
+				!strings.Contains(we.Message, "non-finite") {
+				t.Fatalf("%s %s: error %v, want invalid_request naming op 1", label, what, err)
+			}
+		}
+		resp, err := ex.Run(adhoc)
+		wantRejected("program", resp, err)
+		resp, err = ex.Invoke("max", inv)
+		wantRejected("invoke", resp, err)
+
+		resp, err = ex.Run(unemitted)
+		if err != nil {
+			t.Fatalf("%s: unemitted -Inf scalars: %v", label, err)
+		}
+		if len(resp.Results) != 2 || resp.Results[0].Y.NNZ() != 0 || resp.Results[1].Y.NNZ() != 0 {
+			t.Fatalf("%s: unemitted -Inf scalars gave %+v", label, resp.Results)
+		}
+	}
+
+	// The status line says so too, whichever form the client accepts.
+	body, err := json.Marshal(adhoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{spmspv.ContentTypeBinary, spmspv.ContentTypeJSON} {
+		req, err := http.NewRequest(http.MethodPost, url+"/v1/program", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", spmspv.ContentTypeJSON)
+		req.Header.Set("Accept", accept)
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest {
+			t.Errorf("Accept %s: HTTP %d, want 400", accept, res.StatusCode)
+		}
+	}
 }

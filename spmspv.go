@@ -266,8 +266,9 @@ type Multiplier struct {
 	left     *Multiplier // lazily built Aᵀ engine for Desc.Transpose
 
 	// inputs recycles the input frontiers the serving paths wrap each
-	// request vector in (see wrapInput).
-	inputs *sparse.FrontierPool
+	// request vector in (see wrapInput); outputs recycles the output
+	// frontiers of stored programs' multiplies (see getOutput).
+	inputs, outputs *sparse.FrontierPool
 }
 
 // Option configures NewMultiplier. Options compose left to right;
@@ -339,7 +340,7 @@ func NewMultiplier(a *Matrix, opts ...Option) (*Multiplier, error) {
 		return nil, fmt.Errorf("spmspv: constructing engine: %w", err)
 	}
 	return &Multiplier{a: a, eng: eng, alg: cfg.alg, opt: cfg.opt,
-		inputs: sparse.NewFrontierPool(a.NumCols)}, nil
+		inputs: sparse.NewFrontierPool(a.NumCols), outputs: sparse.NewFrontierPool(a.NumRows)}, nil
 }
 
 // Mult is the single descriptor-driven multiply: y ← ⟨op(A)·x, mask⟩
@@ -431,6 +432,17 @@ func (m *Multiplier) wrapInput(x *Vector, transpose bool) *Frontier {
 		return m.transposed().inputs.Wrap(x)
 	}
 	return m.inputs.Wrap(x)
+}
+
+// getOutput borrows a pooled output frontier for a multiply by op(A) —
+// Aᵀ under transpose. Program loops Release each multiply output they
+// leave dead, so a level loop reuses one list and one O(n) bitmap
+// instead of allocating them per iteration.
+func (m *Multiplier) getOutput(transpose bool) *Frontier {
+	if transpose {
+		return m.transposed().outputs.GetOutput()
+	}
+	return m.outputs.GetOutput()
 }
 
 // resolveSemiring applies the precedence rule: an explicit semiring
