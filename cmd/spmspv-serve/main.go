@@ -50,7 +50,9 @@
 //	                  "desc":{"semiring":"arithmetic"}}' localhost:8090/v1/mult
 //
 // Concurrent single-vector requests against the same matrix coalesce
-// into batched multiplies (bounded by -batch-window / -batch-size);
+// into batched multiplies by group commit (-batch-size caps a batch;
+// -batch-window bounds the wait behind a flush still in flight, and 0
+// turns coalescing off);
 // per-matrix request, coalescing and latency counters are reported on
 // GET /v1/matrices and logged at shutdown. SIGINT/SIGTERM drain
 // in-flight requests before exit.
@@ -96,7 +98,7 @@ func main() {
 		parWorkers = flag.Int("par-workers", -1,
 			"process-wide executor pool workers shared by all multiplies (-1 = default GOMAXPROCS-1, 0 = run every multiply inline)")
 		window = flag.Duration("batch-window", 500*time.Microsecond,
-			"how long the first request of a coalescing window waits for company (0 disables)")
+			"how long a coalesced request waits queued behind a flush still in flight before flushing without it; a request that finds none never waits (0 disables coalescing)")
 		batch = flag.Int("batch-size", 8, "max requests per coalesced MultBatch (≤1 disables)")
 		wire  = flag.String("wire", "json",
 			"default response wire form (json, binary) when a request has no Accept preference")

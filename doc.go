@@ -99,10 +99,11 @@
 //
 // A Server (NewServer) mounts the store over HTTP. Concurrent
 // single-vector requests against the same matrix coalesce into one
-// MultBatch through a bounded batching window (WithBatchWindow /
-// WithBatchSize), amortizing per-call engine setup across callers that
-// never see each other. A Program is the dataflow wire form: ops whose
-// inputs reference earlier ops' outputs ("$0"-style), with scalar
+// MultBatch by group commit (WithBatchSize), amortizing per-call engine
+// setup across callers that never see each other and never wait for
+// company; WithBatchWindow bounds how long a request waits queued
+// behind a flush still in flight. A Program is the dataflow wire form:
+// ops whose inputs reference earlier ops' outputs ("$0"-style), with scalar
 // registers (reduce/scale/axpy/prune) and bounded loops whose carries
 // ("^i") thread values across iterations and whose until_empty /
 // until_below exits encode convergence — so a whole BFS (BFSProgram,

@@ -1,13 +1,12 @@
 // BenchmarkServeCoalesce measures the serving path's request
 // coalescing: concurrent single-vector mult requests against one
 // matrix, pushed through the full HTTP handler (decode, validate,
-// batcher, encode) at batching windows of 1, 4 and 8 requests.
-// Window 1 disables coalescing — every request executes alone — so
-// the sweep isolates what the shared MultBatch (one bucket
-// Estimate/sizing pass per batch instead of per request) buys at the
-// service level. EXPERIMENTS.md records the trajectory; CI uploads
-// the JSON so cmd/benchcmp gates serving-path regressions like the
-// multiply path.
+// batcher, encode) at batch sizes of 1, 4 and 8 requests. Size 1
+// disables coalescing — every request executes alone — so the sweep
+// isolates what the shared MultBatch (one bucket Estimate/sizing pass
+// per batch instead of per request) buys at the service level.
+// EXPERIMENTS.md records the trajectory; CI uploads the JSON so
+// cmd/benchcmp gates serving-path regressions like the multiply path.
 package spmspv_test
 
 import (
@@ -88,16 +87,17 @@ func BenchmarkServeCoalesce(b *testing.B) {
 			if _, err := st.Load("g"); err != nil {
 				b.Fatal(err)
 			}
-			// A short window: concurrent submissions gather within
-			// microseconds, while stragglers (the drain at the end of the
-			// run) pay at most 100µs before flushing alone.
+			// Group commit: requests that arrive while a flush runs
+			// share the next one. A short window: a request queued
+			// behind a flush still running after 100µs flushes without
+			// it.
 			srv := spmspv.NewServer(st,
 				spmspv.WithBatchSize(batch),
 				spmspv.WithBatchWindow(100*time.Microsecond),
 			)
 
 			// 8-way concurrent callers regardless of GOMAXPROCS: request
-			// concurrency is what fills batching windows, and a serving
+			// concurrency is what fills batches, and a serving
 			// host is I/O-concurrent even when compute-serial.
 			b.SetParallelism(8)
 			b.ReportAllocs()

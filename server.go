@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,14 +29,16 @@ import (
 //	POST   /v1/program           execute one Program
 //
 // Concurrent single-vector mult requests against the same matrix (and
-// a compatible descriptor) are coalesced into one MultBatch through a
-// bounded batching window: the first request in a window waits at most
-// BatchWindow for company, and a window flushes early the moment
-// BatchSize requests have gathered — so the bucket engine's one
-// Estimate/sizing pass (and workspace checkout) is amortized across
-// the batch exactly as in the multi-source algorithms, invisible to
-// each caller. Requests whose descriptor cannot ride a batch
-// (accumulate, per-slot masks, bitmap responses) execute directly.
+// a compatible descriptor) are coalesced by group commit: a request
+// that finds no flush in flight runs at once, and requests that arrive
+// while a flush runs go together, up to BatchSize, in the next one —
+// so the bucket engine's one Estimate/sizing pass (and workspace
+// checkout) is shared by exactly the requests that overlap, as in the
+// multi-source algorithms, invisible to each caller. No request waits
+// for company, and one queued behind a flush waits at most the batch
+// window before it flushes beside that flush. Requests whose
+// descriptor cannot ride a batch (accumulate, per-slot masks, bitmap
+// responses) execute directly.
 type Server struct {
 	store    ServingStore
 	mux      *http.ServeMux
@@ -42,22 +46,23 @@ type Server struct {
 	maxBatch int
 	maxBody  int64
 	wire     string   // response form when the client expresses no preference
-	batchers sync.Map // batch key (string) → *multBatcher
+	batchers sync.Map // batchKey → *multBatcher
 	start    time.Time
 }
 
 // ServerOption configures NewServer.
 type ServerOption func(*Server)
 
-// WithBatchWindow bounds how long the first request of a coalescing
-// window waits for company (default 500µs). Zero disables coalescing.
+// WithBatchWindow bounds how long a coalesced request waits queued
+// behind a flush still in flight (default 500µs) before it flushes
+// without it. A request that finds no flush in flight never waits.
+// Zero disables coalescing.
 func WithBatchWindow(d time.Duration) ServerOption {
 	return func(s *Server) { s.window = d }
 }
 
-// WithBatchSize caps how many requests one MultBatch flush carries
-// (default 8); a full window flushes immediately. Values ≤ 1 disable
-// coalescing.
+// WithBatchSize caps how many requests one coalesced flush carries
+// (default 8). Values ≤ 1 disable coalescing.
 func WithBatchSize(n int) ServerOption {
 	return func(s *Server) { s.maxBatch = n }
 }
@@ -86,9 +91,9 @@ func WithDefaultWire(contentType string) ServerOption {
 // ServingStore is the storage/execution backend a Server fronts: the
 // single-process *Store or the sharded *ShardedStore coordinator. The
 // unexported methods — the pre-validation shapes the coalescing path
-// needs and the batch-flush execution hook — keep implementations
-// inside this package; everything HTTP-visible rides the exported
-// surface.
+// needs and do, which runs a coalesced flush as Do does without
+// counting it as a request — keep implementations inside this package;
+// everything HTTP-visible rides the exported surface.
 type ServingStore interface {
 	Executor
 	Put(name string, a *Matrix) error
@@ -106,7 +111,7 @@ type ServingStore interface {
 	Invoke(name string, inv *InvokeRequest) (*ProgramResponse, error)
 
 	resolveMult(name string) (nrows, ncols Index, stats *perf.ServeStats, err error)
-	multBatch(name string, xs []*Vector, masks []*BitVector, d Desc) ([]*Vector, error)
+	do(req *Request) (*Response, error)
 	health() HealthStatus
 }
 
@@ -181,10 +186,21 @@ func statusOf(we *WireError) int {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON answers v as JSON under status. It marshals before writing
+// the status: JSON has no spelling for NaN or ±Inf, so a reply holding
+// one comes back as a not_acceptable *WireError for the caller to
+// answer, instead of an HTTP 200 with an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) *WireError {
+	buf := getHeaderBuf()
+	defer putHeaderBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return wireErrorf(CodeNotAcceptable, "the reply does not encode as %s (%v); accept %s, which carries it",
+			ContentTypeJSON, err, ContentTypeBinary)
+	}
+	w.Header().Set("Content-Type", ContentTypeJSON)
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
+	return nil
 }
 
 // errorBody is the error envelope of the matrix-management endpoints
@@ -244,11 +260,10 @@ func (s *Server) handleDeleteMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	// Evict the matrix's batchers so churn (upload → serve → delete)
 	// does not accumulate idle batcher entries forever. A batcher
-	// holding in-flight requests still flushes — the timer closure
-	// keeps it alive — and simply reports the matrix unknown.
-	prefix := name + "|"
+	// holding in-flight requests still flushes — its submitters keep it
+	// alive — and simply reports the matrix unknown.
 	s.batchers.Range(func(key, _ any) bool {
-		if strings.HasPrefix(key.(string), prefix) {
+		if key.(batchKey).matrix == name {
 			s.batchers.Delete(key)
 		}
 		return true
@@ -348,14 +363,13 @@ func putReqReader(br *bufio.Reader) {
 	reqReaderPool.Put(br)
 }
 
-// writeWire streams v to the client in the negotiated wire form. The
-// binary encoders write through a pooled buffered writer straight onto
-// the response — no intermediate per-response []byte — and the JSON
-// encoder streams likewise.
-func writeWire(w http.ResponseWriter, status int, wire string, v any) {
+// writeWire answers v in the negotiated wire form: JSON through
+// writeJSON, whose not_acceptable failure it returns, and binary
+// through a pooled buffered writer straight onto the response — no
+// intermediate per-response []byte.
+func writeWire(w http.ResponseWriter, status int, wire string, v any) *WireError {
 	if wire != ContentTypeBinary {
-		writeJSON(w, status, v)
-		return
+		return writeJSON(w, status, v)
 	}
 	w.Header().Set("Content-Type", ContentTypeBinary)
 	w.WriteHeader(status)
@@ -371,6 +385,7 @@ func writeWire(w http.ResponseWriter, status int, wire string, v any) {
 		// here is a programming error, not a client one.
 		json.NewEncoder(w).Encode(v)
 	}
+	return nil
 }
 
 // notAcceptable is the failure of an Accept header naming no wire form
@@ -455,15 +470,14 @@ func serveExchange[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Requ
 		writeWire(w, http.StatusNotAcceptable, ContentTypeJSON, ex.errReply(notAcceptable(r)))
 		return
 	}
-	var resp *Resp
-	req, err := readWire(s, w, r, ex)
-	if err != nil {
-		err = wireErrorf(CodeBadRequest, "%v", err)
-	} else if resp, err = run(req); err == nil {
-		writeWire(w, http.StatusOK, wire, resp)
+	var we *WireError
+	if req, err := readWire(s, w, r, ex); err != nil {
+		we = wireErrorf(CodeBadRequest, "%v", err)
+	} else if resp, err := run(req); err != nil {
+		we = AsWireError(err)
+	} else if we = writeWire(w, http.StatusOK, wire, resp); we == nil {
 		return
 	}
-	we := AsWireError(err)
 	writeWire(w, statusOf(we), wire, ex.errReply(we))
 }
 
@@ -515,7 +529,9 @@ func (s *Server) handleGetProgram(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeWire(w, http.StatusOK, wire, p)
+	if we := writeWire(w, http.StatusOK, wire, p); we != nil {
+		writeError(w, we)
+	}
 }
 
 func (s *Server) handleDeleteProgram(w http.ResponseWriter, r *http.Request) {
@@ -537,15 +553,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// do routes one request: through the coalescing batcher when it
-// qualifies, directly through the store otherwise.
-func (s *Server) do(req *Request) (*Response, error) {
-	if !s.coalescable(req) {
-		return s.store.Do(req)
-	}
-	return s.doCoalesced(req)
-}
-
 // coalescable reports whether a request may ride a shared MultBatch:
 // single-vector, list-form response, no accumulate (an accumulator
 // cannot be shared), with any mask becoming a per-slot batch mask.
@@ -555,10 +562,14 @@ func (s *Server) coalescable(req *Request) bool {
 		req.Desc.Output != OutputBitmap
 }
 
-// doCoalesced validates the request immediately (so malformed requests
-// fail fast and cannot poison a batch), then submits it to the batcher
-// for its (matrix, descriptor-compatibility) key.
-func (s *Server) doCoalesced(req *Request) (*Response, error) {
+// do routes one request: directly through the store unless it is
+// coalescable, else through the batcher for its key. A coalesced
+// request is validated first, so a malformed one fails fast and cannot
+// fail the batch it would have joined.
+func (s *Server) do(req *Request) (*Response, error) {
+	if !s.coalescable(req) {
+		return s.store.Do(req)
+	}
 	nrows, ncols, stats, err := s.store.resolveMult(req.Matrix)
 	if err != nil {
 		return nil, err
@@ -569,12 +580,12 @@ func (s *Server) doCoalesced(req *Request) (*Response, error) {
 		return nil, wireErrorf(CodeInvalidRequest, "%v", err)
 	}
 	sr, _ := ParseSemiring(req.Desc.Semiring)
-	key := fmt.Sprintf("%s|%s|t=%v|c=%v", req.Matrix, strings.ToLower(sr.Name),
-		req.Desc.Transpose, req.Desc.Complement)
-	bi, _ := s.batchers.LoadOrStore(key, &multBatcher{server: s, matrix: req.Matrix})
-	b := bi.(*multBatcher)
-
-	out := b.submit(req.X, req.Desc)
+	key := batchKey{req.Matrix, sr.Name, req.Desc.Transpose, req.Desc.Complement}
+	b, ok := s.batchers.Load(key)
+	if !ok {
+		b, _ = s.batchers.LoadOrStore(key, &multBatcher{server: s})
+	}
+	out := b.(*multBatcher).submit(&pendingMult{req: req, stats: stats, done: make(chan batchOut, 2)})
 	stats.Observe(time.Since(t), out.err != nil)
 	if out.err != nil {
 		return nil, out.err
@@ -582,64 +593,126 @@ func (s *Server) doCoalesced(req *Request) (*Response, error) {
 	return &Response{Y: out.y, OutputRep: OutputList.String()}, nil
 }
 
+// batchKey is what the requests of one batch share.
+type batchKey struct {
+	matrix, semiring      string
+	transpose, complement bool
+}
+
 // multBatcher coalesces validated single-vector requests that share a
-// batch key into MultBatch flushes. The first pending request arms a
-// window timer; reaching the server's batch size flushes immediately.
+// batch key by group commit. A request that finds no lead flush in
+// flight leads one at once; requests that arrive while it runs queue,
+// and when it ends the first of them leads the next flush, which takes
+// at most the batch size from the front of the queue. A request still
+// queued a window after it arrived — the flush ahead of it is slow, as
+// a coordinator's can be while a replica call times out — flushes the
+// queue up to itself beside that flush.
 type multBatcher struct {
 	server *Server
-	matrix string
 
 	mu      sync.Mutex
+	leading bool // a lead flush is in flight
 	pending []*pendingMult
 }
 
 type pendingMult struct {
-	x    *Vector
-	desc Desc
+	req   *Request
+	stats *perf.ServeStats // the matrix's counters, resolved at submit
+	// done receives at most two messages, in order: the lead, sent only
+	// while the request is queued, and its result.
 	done chan batchOut
 }
 
+// batchOut answers a pending request: its result, or the lead.
 type batchOut struct {
-	y   *Vector
-	err error
+	y    *Vector
+	err  error
+	lead bool
 }
 
-// submit enqueues one request and blocks until its slot's result.
-func (b *multBatcher) submit(x *Vector, d Desc) batchOut {
-	p := &pendingMult{x: x, desc: d, done: make(chan batchOut, 1)}
+// submit enqueues one request and blocks until its result, running on
+// this goroutine every flush the request leads or overtakes.
+func (b *multBatcher) submit(p *pendingMult) batchOut {
 	b.mu.Lock()
 	b.pending = append(b.pending, p)
-	n := len(b.pending)
-	if n >= b.server.maxBatch {
-		batch := b.pending
-		b.pending = nil
-		b.mu.Unlock()
-		b.flush(batch)
+	lead := !b.leading
+	b.leading = true
+	b.mu.Unlock()
+	var late <-chan time.Time
+	if lead {
+		b.lead()
 	} else {
-		if n == 1 {
-			time.AfterFunc(b.server.window, b.flushWindow)
-		}
-		b.mu.Unlock()
+		t := time.NewTimer(b.server.window)
+		defer t.Stop()
+		late = t.C
 	}
-	return <-p.done
+	for {
+		select {
+		case out := <-p.done:
+			if !out.lead {
+				return out
+			}
+			b.lead()
+		case <-late:
+			b.overtake(p)
+		}
+	}
 }
 
-// flushWindow fires when a window timer expires: it takes whatever has
-// gathered (possibly nothing, if a size-triggered flush beat it).
-func (b *multBatcher) flushWindow() {
+// lead runs one lead flush. It yields its processor first, so requests
+// already runnable (still being decoded on a busy CPU) queue and join;
+// on an idle CPU the yield returns at once. It then flushes the front
+// of the queue, which an overtaking flush may have emptied, and passes
+// the lead to the first request still queued, or leaves the key idle.
+func (b *multBatcher) lead() {
+	runtime.Gosched()
 	b.mu.Lock()
-	batch := b.pending
-	b.pending = nil
+	batch := b.take()
 	b.mu.Unlock()
 	if len(batch) > 0 {
 		b.flush(batch)
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.leading = len(b.pending) > 0
+	if b.leading {
+		// A queued request has been sent nothing else yet, so its
+		// buffered channel has room.
+		b.pending[0].done <- batchOut{lead: true}
+	}
 }
 
-// flush executes one gathered batch through the store's multBatch hook
-// and delivers each slot's result. The backend resolves the matrix per
-// flush, so a matrix replaced in the store between windows is picked
-// up; over a sharded backend the whole window rides one scatter.
+// overtake runs when p has waited a window in the queue: it flushes the
+// queue from the front, a batch at a time, until p's batch has run,
+// since every request ahead of p has waited longer. A p already taken
+// into a flush waits for that flush.
+func (b *multBatcher) overtake(p *pendingMult) {
+	for {
+		b.mu.Lock()
+		if !slices.Contains(b.pending, p) {
+			b.mu.Unlock()
+			return
+		}
+		batch := b.take()
+		b.mu.Unlock()
+		b.flush(batch)
+	}
+}
+
+// take removes the next batch, at most the batch size, from the front
+// of the queue. b.mu must be held.
+func (b *multBatcher) take() []*pendingMult {
+	n := min(len(b.pending), b.server.maxBatch)
+	batch := b.pending[:n:n]
+	b.pending = b.pending[n:]
+	return batch
+}
+
+// flush runs one batch as a single batched Request — the form /v1/mult
+// serves — through the store's do, so the matrix is resolved per flush
+// and a sharded backend sends the whole batch in one scatter. A failed
+// flush fails every slot with the store's error, and a panicking one
+// answers every slot internal.
 func (b *multBatcher) flush(batch []*pendingMult) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -648,21 +721,30 @@ func (b *multBatcher) flush(batch []*pendingMult) {
 			}
 		}
 	}()
-	xs := make([]*Vector, len(batch))
-	masks := make([]*BitVector, len(batch))
+	// Complement is in the batch key and needs a mask, so it holds for
+	// every slot or none.
+	first := batch[0].req
+	req := &Request{Matrix: first.Matrix, Xs: make([]*Vector, len(batch)), Desc: Desc{
+		Semiring: first.Desc.Semiring, Transpose: first.Desc.Transpose, Complement: first.Desc.Complement}}
 	for q, p := range batch {
-		xs[q] = p.x
-		masks[q] = p.desc.Mask
-	}
-	ys, err := b.server.store.multBatch(b.matrix, xs, masks, batch[0].desc)
-	if err != nil {
-		for _, p := range batch {
-			p.done <- batchOut{err: err}
+		req.Xs[q] = p.req.X
+		if mk := p.req.Desc.Mask; mk != nil {
+			if req.Desc.Masks == nil {
+				req.Desc.Masks = make([]*BitVector, len(batch))
+			}
+			req.Desc.Masks[q] = mk
 		}
-		return
+	}
+	resp, err := b.server.store.do(req)
+	if err == nil {
+		batch[0].stats.ObserveBatch(len(batch))
 	}
 	for q, p := range batch {
-		p.done <- batchOut{y: ys[q]}
+		out := batchOut{err: err}
+		if err == nil {
+			out.y = resp.Ys[q]
+		}
+		p.done <- out
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	spmspv "spmspv"
@@ -142,19 +141,14 @@ func TestServeMultAndErrors(t *testing.T) {
 	}
 }
 
-// TestServeCoalescing fires concurrent single-vector requests at a
-// server with a large batching window and checks that (a) every
-// response equals the sequential reference for its own input — slots
-// are not mixed up — and (b) the batcher actually coalesced.
+// TestServeCoalescing fires single-vector requests at a server while a
+// flush is held in flight, so the requests behind it must coalesce, and
+// checks that (a) every response equals the sequential reference for
+// its own input — slots are not mixed up — and (b) the batcher actually
+// coalesced.
 func TestServeCoalescing(t *testing.T) {
 	st, a, rng := storeWithMatrix(t, "g")
-	srv := spmspv.NewServer(st,
-		spmspv.WithBatchWindow(5e6), // 5ms: plenty for all goroutines to gather
-		spmspv.WithBatchSize(4),
-	)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	c := spmspv.NewClient(ts.URL, spmspv.WithHTTPClient(ts.Client()))
+	rig := newCoalesceRig(t, st, 4)
 	if _, err := st.Load("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -169,21 +163,15 @@ func TestServeCoalescing(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, requests)
-	got := make([]*spmspv.Response, requests)
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = c.Do(&spmspv.Request{
-				Matrix: "g",
-				X:      xs[i],
-				Desc:   spmspv.Desc{Semiring: "arithmetic", Mask: masks[i]},
-			})
-		}(i)
+	reqs := make([]*spmspv.Request, requests)
+	for i := range reqs {
+		reqs[i] = &spmspv.Request{
+			Matrix: "g",
+			X:      xs[i],
+			Desc:   spmspv.Desc{Semiring: "arithmetic", Mask: masks[i]},
+		}
 	}
-	wg.Wait()
+	got, errs := rig.run(t, reqs, nil)
 
 	for i := 0; i < requests; i++ {
 		if errs[i] != nil {
@@ -198,7 +186,7 @@ func TestServeCoalescing(t *testing.T) {
 		}
 	}
 
-	coalesced, batches := srv.BatcherStats()
+	coalesced, batches := rig.srv.BatcherStats()
 	if coalesced == 0 || batches == 0 {
 		t.Errorf("no coalescing happened across %d concurrent requests (coalesced=%d batches=%d)",
 			requests, coalesced, batches)

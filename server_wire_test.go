@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -586,5 +587,106 @@ func TestClientBinaryEndToEnd(t *testing.T) {
 	_, err = c.Do(&spmspv.Request{Matrix: "missing", X: x, Desc: spmspv.Desc{Semiring: "arithmetic"}})
 	if we := spmspv.AsWireError(err); err == nil || we.Code != spmspv.CodeUnknownMatrix {
 		t.Fatalf("binary error round trip: %v", err)
+	}
+}
+
+// TestServeNonFiniteReply pins how a reply holding ±Inf travels: JSON
+// has no spelling for it, so a JSON client gets a not_acceptable
+// *WireError naming the binary form, and a binary client gets the value
+// — on /v1/mult, /v1/program, invoke and a stored program's GET.
+func TestServeNonFiniteReply(t *testing.T) {
+	tr := spmspv.NewTriples(2, 2, 2)
+	tr.Append(0, 0, 1e308)
+	tr.Append(1, 1, 1)
+	a, err := spmspv.NewMatrix(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := spmspv.NewStore(spmspv.WithEngineOptions(engineOptions(2)))
+	if err := st.Put("big", a); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(spmspv.NewServer(st))
+	t.Cleanup(ts.Close)
+	jsonC := spmspv.NewClient(ts.URL, spmspv.WithHTTPClient(ts.Client()), spmspv.WithWire(spmspv.ContentTypeJSON))
+	binC := spmspv.NewClient(ts.URL, spmspv.WithHTTPClient(ts.Client()))
+
+	// 1e308 · 1e10 overflows to +Inf.
+	x := &spmspv.Vector{N: 2, Ind: []spmspv.Index{0}, Val: []float64{1e10}, Sorted: true}
+	arith := spmspv.Desc{Semiring: "arithmetic"}
+	if _, err := binC.PutProgram("overflow", &spmspv.Program{Matrix: "big", Ops: []spmspv.ProgramOp{
+		{Op: "input", Param: "x"},
+		{XRef: "$0", Desc: arith, Emit: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	inf := &spmspv.Vector{N: 2, Ind: []spmspv.Index{1}, Val: []float64{math.Inf(1)}, Sorted: true}
+	if _, err := binC.PutProgram("literal", &spmspv.Program{Ops: []spmspv.ProgramOp{
+		{Op: "input", X: inf, Emit: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	endpoints := []struct {
+		name string
+		call func(c *spmspv.Client) (*spmspv.Vector, error)
+	}{
+		{"mult", func(c *spmspv.Client) (*spmspv.Vector, error) {
+			resp, err := c.Do(&spmspv.Request{Matrix: "big", X: x, Desc: arith})
+			if err != nil {
+				return nil, err
+			}
+			return resp.Y, nil
+		}},
+		{"program", func(c *spmspv.Client) (*spmspv.Vector, error) {
+			resp, err := c.Run(&spmspv.Program{Matrix: "big", Ops: []spmspv.ProgramOp{{X: x, Desc: arith, Emit: true}}})
+			if err != nil {
+				return nil, err
+			}
+			return resp.Results[0].Y, nil
+		}},
+		{"invoke", func(c *spmspv.Client) (*spmspv.Vector, error) {
+			resp, err := c.Invoke("overflow", &spmspv.InvokeRequest{Args: map[string]*spmspv.Vector{"x": x}})
+			if err != nil {
+				return nil, err
+			}
+			return resp.Results[0].Y, nil
+		}},
+	}
+	for _, ep := range endpoints {
+		_, err := ep.call(jsonC)
+		we, ok := err.(*spmspv.WireError)
+		if !ok || we.Code != spmspv.CodeNotAcceptable || !strings.Contains(we.Message, spmspv.ContentTypeBinary) {
+			t.Errorf("%s over JSON: %v, want a not_acceptable *WireError naming %s", ep.name, err, spmspv.ContentTypeBinary)
+		}
+		y, err := ep.call(binC)
+		if err != nil {
+			t.Fatalf("%s over binary: %v", ep.name, err)
+		}
+		if len(y.Val) != 1 || !math.IsInf(y.Val[0], 1) {
+			t.Errorf("%s over binary: y = %v, want [+Inf]", ep.name, y)
+		}
+	}
+
+	_, err = jsonC.GetProgram("literal")
+	if we, ok := err.(*spmspv.WireError); !ok || we.Code != spmspv.CodeNotAcceptable {
+		t.Errorf("GET program over JSON: %v, want a not_acceptable *WireError", err)
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/programs/literal", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", spmspv.ContentTypeBinary)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	p, err := spmspv.DecodeProgramBinary(resp.Body)
+	if err != nil {
+		t.Fatalf("GET program over binary: %v", err)
+	}
+	if y := p.Ops[0].X; len(y.Val) != 1 || !math.IsInf(y.Val[0], 1) {
+		t.Errorf("GET program over binary: literal = %v, want [+Inf]", y)
 	}
 }

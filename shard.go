@@ -937,6 +937,17 @@ func (ss *ShardedStore) Do(req *Request) (*Response, error) {
 	return resp, err
 }
 
+// do is Do without the serving counters: the coalescing batcher's
+// flush, one scatter for the whole batch, whose requests were each
+// counted as they were submitted.
+func (ss *ShardedStore) do(req *Request) (*Response, error) {
+	sm, err := ss.lookup(req.Matrix)
+	if err != nil {
+		return nil, err
+	}
+	return ss.doSharded(sm, req.Matrix, req)
+}
+
 // Run executes a program with every mult op scattered across the
 // shards — the interpreter (op refs, masks-from-frontiers,
 // StopOnEmpty) is the same code path the single-process Store runs, so
@@ -980,39 +991,6 @@ func (ss *ShardedStore) resolveMult(name string) (Index, Index, *perf.ServeStats
 		return 0, 0, nil, err
 	}
 	return sm.rows, sm.cols, sm.stats, nil
-}
-
-// multBatch executes one coalesced flush as a single batched scatter:
-// the whole window rides one request per band, so coalescing amortizes
-// the per-shard dispatch exactly as it amortizes the engine's sizing
-// pass in-process.
-func (ss *ShardedStore) multBatch(name string, xs []*Vector, masks []*BitVector, d Desc) ([]*Vector, error) {
-	sm, err := ss.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	hasMask := false
-	for _, mk := range masks {
-		if mk != nil {
-			hasMask = true
-			break
-		}
-	}
-	req := &Request{Matrix: name, Xs: xs, Desc: Desc{
-		Semiring:  d.Semiring,
-		Transpose: d.Transpose,
-		Output:    OutputList,
-	}}
-	if hasMask {
-		req.Desc.Masks = masks
-		req.Desc.Complement = d.Complement
-	}
-	resp, err := ss.doSharded(sm, name, req)
-	if err != nil {
-		return nil, err
-	}
-	sm.stats.ObserveBatch(len(xs))
-	return resp.Ys, nil
 }
 
 // health reports the coordinator's liveness summary for GET /v1/health.

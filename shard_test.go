@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -366,10 +365,10 @@ func TestShardedFaultInjection(t *testing.T) {
 	}
 }
 
-// TestShardedServerCoalescing drives concurrent HTTP mults through a
-// Server over a sharded backend: every answer must match the unsharded
-// store, and the coalescing counters must show batches formed — the
-// whole window riding one scatter per shard.
+// TestShardedServerCoalescing drives HTTP mults through a Server over a
+// sharded backend while a flush is held in flight: every answer must
+// match the unsharded store, and the coalescing counters must show
+// batches formed — each batch riding one scatter per shard.
 func TestShardedServerCoalescing(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := randomIntCSC(t, rng, 90, 90, 4)
@@ -383,14 +382,12 @@ func TestShardedServerCoalescing(t *testing.T) {
 	if err := ss.Put("g", a); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(spmspv.NewServer(ss,
-		spmspv.WithBatchWindow(20*time.Millisecond), spmspv.WithBatchSize(8)))
-	defer srv.Close()
-	client := spmspv.NewClient(srv.URL)
+	rig := newCoalesceRig(t, ss, 8)
 
 	const conc = 16
 	xs := make([]*spmspv.Vector, conc)
 	wants := make([]*spmspv.Vector, conc)
+	reqs := make([]*spmspv.Request, conc)
 	for q := range xs {
 		xs[q] = randomIntVector(rng, a.NumCols, 1+rng.Intn(16))
 		want, err := st.Do(&spmspv.Request{Matrix: "g", X: xs[q], Desc: spmspv.Desc{Semiring: "arithmetic"}})
@@ -398,19 +395,9 @@ func TestShardedServerCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 		wants[q] = want.Y
+		reqs[q] = &spmspv.Request{Matrix: "g", X: xs[q], Desc: spmspv.Desc{Semiring: "arithmetic"}}
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, conc)
-	gots := make([]*spmspv.Response, conc)
-	for q := 0; q < conc; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			gots[q], errs[q] = client.Do(&spmspv.Request{Matrix: "g", X: xs[q],
-				Desc: spmspv.Desc{Semiring: "arithmetic"}})
-		}(q)
-	}
-	wg.Wait()
+	gots, errs := rig.run(t, reqs, nil)
 	for q := 0; q < conc; q++ {
 		if errs[q] != nil {
 			t.Fatalf("slot %d: %v", q, errs[q])

@@ -267,12 +267,28 @@ func (st *Store) Do(req *Request) (*Response, error) {
 		return nil, err
 	}
 	t := time.Now()
-	resp, derr := mu.Do(req)
-	if derr != nil {
-		stats.Observe(time.Since(t), true)
-		return nil, wireErrorf(CodeInvalidRequest, "%v", derr)
+	resp, err := doOn(mu, req)
+	stats.Observe(time.Since(t), err != nil)
+	return resp, err
+}
+
+// do is Do without the serving counters: the coalescing batcher's
+// flush, whose requests were each counted as they were submitted.
+func (st *Store) do(req *Request) (*Response, error) {
+	mu, _, err := st.load(req.Matrix)
+	if err != nil {
+		return nil, err
 	}
-	stats.Observe(time.Since(t), false)
+	return doOn(mu, req)
+}
+
+// doOn runs req on the multiplier Do or do resolved, answering a
+// rejected request invalid_request.
+func doOn(mu *Multiplier, req *Request) (*Response, error) {
+	resp, err := mu.Do(req)
+	if err != nil {
+		return nil, wireErrorf(CodeInvalidRequest, "%v", err)
+	}
 	return resp, nil
 }
 
@@ -322,50 +338,4 @@ func (st *Store) resolveMult(name string) (nrows, ncols Index, stats *perf.Serve
 	}
 	a := mu.Matrix()
 	return a.NumRows, a.NumCols, stats, nil
-}
-
-// multBatch executes one coalesced flush — every x multiplied against
-// the named matrix under a shared descriptor (semiring, transpose,
-// complement), with optional per-slot masks, answered slot by slot in
-// list form. It is the serving batcher's execution hook, shared by the
-// single-process Store and the sharded coordinator.
-func (st *Store) multBatch(name string, xs []*Vector, masks []*BitVector, d Desc) ([]*Vector, error) {
-	mu, stats, err := st.load(name)
-	if err != nil {
-		return nil, err
-	}
-	a := mu.Matrix()
-	outDim := a.NumRows
-	if d.Transpose {
-		outDim = a.NumCols
-	}
-	xf := make([]*Frontier, len(xs))
-	yf := make([]*Frontier, len(xs))
-	hasMask := false
-	for q := range xs {
-		xf[q] = mu.wrapInput(xs[q], d.Transpose)
-		yf[q] = NewOutputFrontier(outDim)
-		if masks[q] != nil {
-			hasMask = true
-		}
-	}
-	bd := Desc{
-		Semiring:  d.Semiring,
-		Transpose: d.Transpose,
-		Output:    OutputList,
-	}
-	if hasMask {
-		bd.Masks = masks
-		bd.Complement = d.Complement
-	}
-	mu.MultBatch(xf, yf, Semiring{}, bd)
-	for _, f := range xf {
-		f.Release()
-	}
-	stats.ObserveBatch(len(xs))
-	ys := make([]*Vector, len(xs))
-	for q := range yf {
-		ys[q] = yf[q].List()
-	}
-	return ys, nil
 }

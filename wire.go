@@ -140,22 +140,31 @@ func (r *Request) Validate(nrows, ncols Index) error {
 	if r.Desc.Transpose {
 		inDim, outDim = nrows, ncols
 	}
-	checkVec := func(x *Vector, what string) error {
+	// label names what a failed check rejects: field, or field[q] for
+	// slot q ≥ 0 of a batch. It is formatted only on failure, so a
+	// request that passes allocates nothing per slot.
+	label := func(field string, q int) string {
+		if q < 0 {
+			return field
+		}
+		return fmt.Sprintf("%s[%d]", field, q)
+	}
+	checkVec := func(x *Vector, field string, q int) error {
 		if x == nil {
-			return fmt.Errorf("spmspv: nil %s in request", what)
+			return fmt.Errorf("spmspv: nil %s in request", label(field, q))
 		}
 		if x.N != inDim {
-			return fmt.Errorf("spmspv: %s has dimension %d, want %d", what, x.N, inDim)
+			return fmt.Errorf("spmspv: %s has dimension %d, want %d", label(field, q), x.N, inDim)
 		}
 		return x.Validate()
 	}
 	if r.X != nil {
-		if err := checkVec(r.X, "x"); err != nil {
+		if err := checkVec(r.X, "x", -1); err != nil {
 			return err
 		}
 	}
 	for q, x := range r.Xs {
-		if err := checkVec(x, fmt.Sprintf("xs[%d]", q)); err != nil {
+		if err := checkVec(x, "xs", q); err != nil {
 			return err
 		}
 	}
@@ -165,17 +174,17 @@ func (r *Request) Validate(nrows, ncols Index) error {
 	if r.Xs != nil && r.Desc.Masks != nil && len(r.Desc.Masks) != len(r.Xs) {
 		return fmt.Errorf("spmspv: request has %d inputs but %d masks", len(r.Xs), len(r.Desc.Masks))
 	}
-	checkMask := func(mk *BitVector, what string) error {
+	checkMask := func(mk *BitVector, field string, q int) error {
 		if mk != nil && mk.N < outDim {
-			return fmt.Errorf("spmspv: %s has dimension %d, want ≥ %d", what, mk.N, outDim)
+			return fmt.Errorf("spmspv: %s has dimension %d, want ≥ %d", label(field, q), mk.N, outDim)
 		}
 		return nil
 	}
-	if err := checkMask(r.Desc.Mask, "mask"); err != nil {
+	if err := checkMask(r.Desc.Mask, "mask", -1); err != nil {
 		return err
 	}
 	for q, mk := range r.Desc.Masks {
-		if err := checkMask(mk, fmt.Sprintf("masks[%d]", q)); err != nil {
+		if err := checkMask(mk, "masks", q); err != nil {
 			return err
 		}
 	}

@@ -231,6 +231,48 @@ func TestRequestValidateRejectsBatchAccum(t *testing.T) {
 	}
 }
 
+// TestRequestValidateBatchLabels pins that Validate names a failing
+// batch slot, and that a batch that passes costs no allocation per
+// slot: the labels are formatted only for an error.
+func TestRequestValidateBatchLabels(t *testing.T) {
+	_, a, rng := wireMultiplier(t)
+	const slots = 8
+	req := &spmspv.Request{
+		Xs:   make([]*spmspv.Vector, slots),
+		Desc: spmspv.Desc{Semiring: "arithmetic", Masks: make([]*spmspv.BitVector, slots)},
+	}
+	for q := range req.Xs {
+		req.Xs[q] = testutil.RandomVector(rng, a.NumCols, 10, true)
+		req.Desc.Masks[q] = spmspv.NewBitVector(a.NumRows)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := req.Validate(a.NumRows, a.NumCols); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("validating a %d-slot batch allocated %v times, want 0", slots, allocs)
+	}
+
+	x3, mask5 := req.Xs[3], req.Desc.Masks[5]
+	req.Xs[3] = nil
+	if err := req.Validate(a.NumRows, a.NumCols); err == nil || !strings.Contains(err.Error(), "nil xs[3]") {
+		t.Errorf("nil slot 3: %v, want an error naming xs[3]", err)
+	}
+	req.Xs[3] = testutil.RandomVector(rng, a.NumCols+1, 10, true)
+	if err := req.Validate(a.NumRows, a.NumCols); err == nil || !strings.Contains(err.Error(), "xs[3] has dimension") {
+		t.Errorf("slot 3 of the wrong dimension: %v, want an error naming xs[3]", err)
+	}
+	req.Xs[3] = x3
+	req.Desc.Masks[5] = spmspv.NewBitVector(3)
+	if err := req.Validate(a.NumRows, a.NumCols); err == nil || !strings.Contains(err.Error(), "masks[5] has dimension") {
+		t.Errorf("short mask 5: %v, want an error naming masks[5]", err)
+	}
+	req.Desc.Masks[5] = mask5
+	if err := req.Validate(a.NumRows, a.NumCols); err != nil {
+		t.Errorf("restored batch: %v", err)
+	}
+}
+
 // TestRequestDoBitmapResponse pins the bitmap wire form: a request
 // whose descriptor asks for OutputBitmap is answered with YBits (the
 // sparse ind/val BitVector encoding), OutputRep "bitmap", and the

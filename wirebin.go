@@ -16,7 +16,7 @@ import (
 // Binary wire envelopes — the serving path's answer to the JSON tax.
 // Profiling attributes ~40% of per-request serving cost to JSON
 // encode/decode of the response payload (strconv's ryu float
-// formatting), a per-request cost the coalescing window cannot
+// formatting), a per-request cost that coalescing cannot
 // amortize. The envelope keeps the cheap-but-structured part of a
 // message — the matrix name, the descriptor, op lists, error codes —
 // as a small JSON header, and moves every vector payload into framed
@@ -91,7 +91,8 @@ type wireSection struct {
 }
 
 // headerBufPool recycles the scratch buffers envelope encode uses for
-// the JSON header (whose length must precede it on the wire).
+// the JSON header (whose length must precede it on the wire), and that
+// the server marshals a JSON reply into before committing its status.
 var headerBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getHeaderBuf() *bytes.Buffer {
