@@ -362,3 +362,37 @@ func TestCoalescedFlushFailures(t *testing.T) {
 		})
 	}
 }
+
+// TestCoalescedFlushReplacedMatrix pins why a flush validates its
+// requests again although each was validated when it was submitted: a
+// Put that replaces the matrix while requests wait for their flush
+// leaves them sized for the old matrix, and every slot must fail
+// invalid_request naming the mismatch, not panic in the engine — on a
+// Store and on a 2-band ShardedStore.
+func TestCoalescedFlushReplacedMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	a := testutil.RandomCSC(rng, 90, 90, 4)
+	small := testutil.RandomCSC(rng, 40, 40, 3)
+	for _, bk := range coalesceBackends(t, a) {
+		t.Run(bk.name, func(t *testing.T) {
+			backend := bk.new()
+			rig := newCoalesceRig(t, backend, 4)
+			reqs := make([]*spmspv.Request, 4)
+			for i := range reqs {
+				reqs[i] = &spmspv.Request{Matrix: "g", X: testutil.RandomVector(rng, a.NumCols, 12, true),
+					Desc: spmspv.Desc{Semiring: "arithmetic"}}
+			}
+			_, errs := rig.run(t, reqs, func() {
+				if err := backend.Put("g", small); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for i, err := range errs {
+				we, ok := err.(*spmspv.WireError)
+				if !ok || we.Code != spmspv.CodeInvalidRequest || !strings.Contains(we.Message, "dimension 90, want 40") {
+					t.Errorf("request %d: %v, want invalid_request naming dimension 90, want 40", i, err)
+				}
+			}
+		})
+	}
+}

@@ -117,16 +117,25 @@ func (c *Client) send(ctx context.Context, method, path string, body io.Reader, 
 	return resp, nil
 }
 
-// roundTrip POSTs/GETs and decodes the JSON reply into out. A non-2xx
-// status is decoded through errOf, which extracts the wire error from
-// whatever envelope the endpoint uses.
+// roundTrip POSTs/GETs and decodes the reply into out: JSON, or the
+// binary form when out is a *Program and the client speaks binary. A
+// non-2xx status is decoded through errOf, which extracts the wire
+// error from whatever envelope the endpoint uses.
 func (c *Client) roundTrip(ctx context.Context, method, path string, body io.Reader, contentType string, out any, errOf func([]byte) *WireError) error {
 	ctx, cancel := c.reqContext(ctx)
 	defer cancel()
 	// Pin the JSON reply explicitly: a server whose default wire is
 	// binary (spmspv-serve -wire binary) would otherwise answer a
-	// preference-free request in a form this path cannot decode.
-	resp, err := c.send(ctx, method, path, body, contentType, ContentTypeJSON)
+	// preference-free request in a form this path cannot decode. A
+	// program is the exception: its literals may hold ±Inf or NaN,
+	// which only the binary form carries, so a binary client asks for
+	// that first and decodes the reply by its Content-Type.
+	accept := ContentTypeJSON
+	p, isProgram := out.(*Program)
+	if isProgram && c.wire == ContentTypeBinary {
+		accept = ContentTypeBinary + ", " + ContentTypeJSON
+	}
+	resp, err := c.send(ctx, method, path, body, contentType, accept)
 	if err != nil {
 		return err
 	}
@@ -144,7 +153,15 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body io.Rea
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if isProgram && mediaType(resp.Header.Get("Content-Type")) == ContentTypeBinary {
+		var bin *Program
+		if bin, err = DecodeProgramBinary(bytes.NewReader(data)); err == nil {
+			*p = *bin
+		}
+	} else {
+		err = json.Unmarshal(data, out)
+	}
+	if err != nil {
 		return fmt.Errorf("spmspv: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
@@ -324,7 +341,7 @@ func (c *Client) Programs() ([]ProgramStat, error) {
 }
 
 // GetProgram fetches a stored procedure's source form
-// (GET /v1/programs/{name}).
+// (GET /v1/programs/{name}) in the WithWire form.
 func (c *Client) GetProgram(name string) (*Program, error) {
 	var p Program
 	if err := c.roundTrip(context.Background(), http.MethodGet, "/v1/programs/"+name, nil, "", &p, envelopeError); err != nil {

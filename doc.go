@@ -54,11 +54,11 @@
 // requested output representation, the batch width and the semiring
 // name; MultBatch is the same call over a batch with per-slot masks.
 //
-// The Multiplier caches one execution plan per descriptor shape (mask?
-// accum? output representation?), so the shape handling around the
-// engine's multiply is resolved once, not per call. Request/Response
-// wrap a whole call as JSON (Multiplier.Do executes one) — the wire
-// contract the serving layer speaks.
+// Every call reads its descriptor afresh, as GraphBLAS passes one with
+// every call: what it selects around the engine's multiply (the output
+// bitmap, the accumulate union, the OutputBitmap materialize) is three
+// tests. Request/Response wrap a whole call as JSON (Multiplier.Do
+// executes one) — the wire contract the serving layer speaks.
 //
 // # Serving: Store, Server, Program, Client
 //
@@ -91,8 +91,7 @@
 // A Store (NewStore) is the registry of named matrices: Put/PutFile
 // register, Load lazily builds and caches ONE shared Multiplier per
 // matrix — legal because of the concurrency contract below — so every
-// request reuses its compiled plans and calibrated hybrid threshold,
-// and a warm store answers repeat traffic with zero plan compilations.
+// request reuses its engine and calibrated hybrid threshold.
 // Matrices travel in three encodings (Matrix Market, a JSON wire form,
 // a compact binary form), sniffed by one decoder, so they can be
 // uploaded, not just preloaded from disk.

@@ -60,17 +60,15 @@ func BFS(mult Multiplier, n sparse.Index, source sparse.Index, capture bool) *BF
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(n)
 
-	// One plan for the whole search, in the list-output shape: the
-	// refine step below would erase a native bitmap.
+	// List output: the refine step below would erase a native bitmap.
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for level := int32(1); xf.NNZ() > 0; level++ {
 		res.FrontierSizes = append(res.FrontierSizes, xf.NNZ())
 		if capture {
 			res.Frontiers = append(res.Frontiers, xf.List().Clone())
 		}
-		plan.Mult(xf, yf, semiring.MinSelect2nd, d)
+		engine.Mult(mult, xf, yf, semiring.MinSelect2nd, d)
 		// The next frontier is the unvisited portion of the product;
 		// the frontier values become the vertices' own ids for the next
 		// expansion.
@@ -123,14 +121,13 @@ func BFSMasked(mult Multiplier, n sparse.Index, source sparse.Index) *BFSResult 
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(n)
 
-	// One masked plan for the whole search: the complemented visited
-	// mask is the only per-level runtime argument.
+	// One descriptor for the whole search: the complemented visited
+	// mask grows in place level by level.
 	d := engine.Desc{Mask: visited, Complement: true}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for level := int32(1); xf.NNZ() > 0; level++ {
 		res.FrontierSizes = append(res.FrontierSizes, xf.NNZ())
-		plan.Mult(xf, yf, semiring.MinSelect2nd, d)
+		engine.Mult(mult, xf, yf, semiring.MinSelect2nd, d)
 		// Every entry of the product is unvisited by construction:
 		// record it, then rewrite the values to the vertices' own ids
 		// in place (support unchanged, so the output bitmap survives).

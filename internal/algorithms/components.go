@@ -35,10 +35,9 @@ func ConnectedComponents(mult Multiplier, n sparse.Index) []sparse.Index {
 	yf := sparse.NewOutputFrontier(n)
 
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for xf.NNZ() > 0 {
-		plan.Mult(xf, yf, semiring.MinSelect2nd, d)
+		engine.Mult(mult, xf, yf, semiring.MinSelect2nd, d)
 		yf.Refine(func(i sparse.Index, v float64) (float64, bool) {
 			if l := sparse.Index(v); l < labels[i] {
 				labels[i] = l

@@ -119,9 +119,9 @@ func (st *aclState) absorb(y *sparse.SpVec) {
 
 // sweepCut orders the touched vertices by p(v)/deg(v) and stores the
 // lowest-conductance prefix into res. The per-prefix cut update probes
-// each added vertex's neighborhood with one singleton SpMSpV through
-// the caller's compiled list-output plan.
-func sweepCut(plan *engine.Plan, degrees []int64, totalVol int64, p map[sparse.Index]float64, res *ACLResult, x *sparse.SpVec, xf, yf *sparse.Frontier) {
+// each added vertex's neighborhood with one singleton list-output
+// SpMSpV on mult.
+func sweepCut(mult Multiplier, degrees []int64, totalVol int64, p map[sparse.Index]float64, res *ACLResult, x *sparse.SpVec, xf, yf *sparse.Frontier) {
 	n := sparse.Index(len(degrees))
 	type pv struct {
 		v     sparse.Index
@@ -151,7 +151,7 @@ func sweepCut(plan *engine.Plan, degrees []int64, totalVol int64, p map[sparse.I
 		xf.SetList(x)
 		x.Reset(n)
 		x.Append(e.v, 1)
-		plan.Mult(xf, yf, semiring.Arithmetic, engine.Desc{Output: engine.OutputList})
+		engine.Mult(mult, xf, yf, semiring.Arithmetic, engine.Desc{Output: engine.OutputList})
 		var internal int64
 		for _, u := range yf.List().Ind {
 			if inSet[u] {

@@ -39,11 +39,9 @@ func MaximalMatching(mult, multT Multiplier, nr, nc sparse.Index) (rowMate, colM
 
 	x := sparse.NewSpVec(nc, int(nc))
 	accept := sparse.NewSpVec(nr, 0)
-	// Forward (A) and backward (Aᵀ) rounds each run through their own
-	// compiled list-output plan.
+	// Forward (A) rounds run on mult and backward (Aᵀ) rounds on
+	// multT, both with list output.
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
-	planT := engine.CompilePlan(multT, d.Shape())
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(nr)
 	acceptf := sparse.NewFrontier(accept)
@@ -65,7 +63,7 @@ func MaximalMatching(mult, multT Multiplier, nr, nc sparse.Index) (rowMate, colM
 		for _, j := range active {
 			x.Append(j, float64(j))
 		}
-		plan.Mult(xf, yf, semiring.MinSelect2nd, d)
+		engine.Mult(mult, xf, yf, semiring.MinSelect2nd, d)
 		y := yf.List()
 
 		// Step 2: unmatched rows accept their minimum proposer.
@@ -89,7 +87,7 @@ func MaximalMatching(mult, multT Multiplier, nr, nc sparse.Index) (rowMate, colM
 		// accepting row among its neighbors; matching (j, back(j)) is
 		// conflict-free because each row accepts at most one column and
 		// each column takes at most one row.
-		planT.Mult(acceptf, backf, semiring.MinSelect2nd, d)
+		engine.Mult(multT, acceptf, backf, semiring.MinSelect2nd, d)
 		back := backf.List()
 		for k, j := range back.Ind {
 			if colMate[j] >= 0 {

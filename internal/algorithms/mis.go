@@ -38,7 +38,6 @@ func MaximalIndependentSet(mult Multiplier, n sparse.Index, seed int64) []bool {
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(n)
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for remaining > 0 {
 		// Draw fresh priorities for the candidates; ties are broken by
@@ -53,7 +52,7 @@ func MaximalIndependentSet(mult Multiplier, n sparse.Index, seed int64) []bool {
 
 		// y(i) = min priority among candidate neighbors of i.
 		xf.SetList(x)
-		plan.Mult(xf, yf, semiring.MinSelect2nd, d)
+		engine.Mult(mult, xf, yf, semiring.MinSelect2nd, d)
 		y := yf.List()
 		for i := range minNbr {
 			minNbr[i] = math.Inf(1)
@@ -78,7 +77,7 @@ func MaximalIndependentSet(mult Multiplier, n sparse.Index, seed int64) []bool {
 
 		// Remove the winners' neighbors from the pool.
 		xf.SetList(winners)
-		plan.Mult(xf, yf, semiring.BoolOrAnd, d)
+		engine.Mult(mult, xf, yf, semiring.BoolOrAnd, d)
 		y = yf.List()
 		for _, i := range y.Ind {
 			if candidate[i] {

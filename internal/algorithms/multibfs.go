@@ -52,7 +52,7 @@ type MultiBFSResult struct {
 //
 // The searches run as a batched frontier pipeline: every live search
 // owns an (input, output) frontier pair, the whole level expands
-// through one Plan.MultBatch call, and each search's output frontier
+// through one engine.MultBatch call, and each search's output frontier
 // is refined in place to its unvisited portion and swapped to become
 // the next input — the two-frontier BFS pipeline, k-wide.
 func MultiBFS(mult Multiplier, n sparse.Index, sources []sparse.Index, capture bool) *MultiBFSResult {
@@ -88,12 +88,10 @@ func MultiBFS(mult Multiplier, n sparse.Index, sources []sparse.Index, capture b
 		ys = append(ys, sparse.NewOutputFrontier(n))
 	}
 
-	// One batch plan for the whole search: list-output shape, because
-	// the per-search refine below shrinks every product's support (a
-	// native bitmap would be erased unread — the masked variant is the
-	// conversion-free one).
+	// List output, because the per-search refine below shrinks every
+	// product's support (a native bitmap would be erased unread — the
+	// masked variant is the conversion-free one).
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for level := int32(1); len(xs) > 0; level++ {
 		for q, s := range live {
@@ -106,7 +104,7 @@ func MultiBFS(mult Multiplier, n sparse.Index, sources []sparse.Index, capture b
 			}
 			res.Batches = append(res.Batches, batch)
 		}
-		plan.MultBatch(xs, ys[:len(xs)], semiring.MinSelect2nd, d)
+		engine.MultBatch(mult, xs, ys[:len(xs)], semiring.MinSelect2nd, d)
 
 		// Refine each search's product to its unvisited portion, swap
 		// it in as the next frontier, and compact away exhausted

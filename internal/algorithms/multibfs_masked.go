@@ -60,16 +60,11 @@ func MultiBFSMasked(mult Multiplier, n sparse.Index, sources []sparse.Index) *Mu
 		visited = append(visited, vis)
 	}
 
-	// One masked batch plan for the whole search; the per-slot masks
-	// are the only per-level runtime arguments.
-	shape := engine.Shape{Masked: true}
-	plan := engine.CompilePlan(mult, shape)
-
 	for level := int32(1); len(xs) > 0; level++ {
 		for q, s := range live {
 			res.FrontierSizes[s] = append(res.FrontierSizes[s], xs[q].NNZ())
 		}
-		plan.MultBatch(xs, ys[:len(xs)], semiring.MinSelect2nd,
+		engine.MultBatch(mult, xs, ys[:len(xs)], semiring.MinSelect2nd,
 			engine.Desc{Masks: visited[:len(xs)], Complement: true})
 
 		// Every entry of every product is unvisited by construction:

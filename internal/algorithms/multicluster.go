@@ -40,11 +40,11 @@ func MultiCluster(mult Multiplier, degrees []int64, seeds []sparse.Index, opt AC
 	}
 
 	// live maps batch slot → state; converged seeds are compacted away.
-	// The push rounds run through one compiled list-output batch plan:
-	// each slot's gather rebuilds its input vector in place, so the
-	// wrapping frontier drops the bitmap a bitmap-reading engine built
-	// from the last round's list (SetList, while that list is intact)
-	// before the rebuild, and is re-pointed after it.
+	// The push rounds are list-output batches: each slot's gather
+	// rebuilds its input vector in place, so the wrapping frontier drops
+	// the bitmap a bitmap-reading engine built from the last round's
+	// list (SetList, while that list is intact) before the rebuild, and
+	// is re-pointed after it.
 	live := append([]*aclState(nil), states...)
 	xs := make([]*sparse.SpVec, len(live))
 	xfs := make([]*sparse.Frontier, len(live))
@@ -55,7 +55,6 @@ func MultiCluster(mult Multiplier, degrees []int64, seeds []sparse.Index, opt AC
 		yfs[q] = sparse.NewOutputFrontier(n)
 	}
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for round := 0; round < opt.MaxIter && len(live) > 0; round++ {
 		// Gather every live seed's active vertices, dropping seeds with
@@ -77,7 +76,7 @@ func MultiCluster(mult Multiplier, degrees []int64, seeds []sparse.Index, opt AC
 			xfs[q].SetList(xs[q])
 		}
 		// One batched SpMSpV spreads every seed's pushes at once.
-		plan.MultBatch(xfs[:w], yfs[:w], semiring.Arithmetic, d)
+		engine.MultBatch(mult, xfs[:w], yfs[:w], semiring.Arithmetic, d)
 		for q, st := range live {
 			st.absorb(yfs[q].List())
 		}
@@ -93,7 +92,7 @@ func MultiCluster(mult Multiplier, degrees []int64, seeds []sparse.Index, opt AC
 	yf := sparse.NewOutputFrontier(n)
 	for _, st := range states {
 		st.res.PPR = st.p
-		sweepCut(plan, degrees, totalVol, st.p, st.res, x, xf, yf)
+		sweepCut(mult, degrees, totalVol, st.p, st.res, x, xf, yf)
 	}
 	return results
 }

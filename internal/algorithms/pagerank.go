@@ -95,7 +95,7 @@ func PageRank(mult Multiplier, n sparse.Index, opt PageRankOptions) *PageRankRes
 		delta.Append(i, init)
 		res.Ranks[i] = init
 	}
-	// The iteration runs through one compiled list-output plan, the
+	// Each iteration multiplies with list output, the
 	// product landing in the output frontier's list. delta is
 	// double-buffered: the frontier's stale-bitmap erase (SetList →
 	// ClearFrom) walks the list the bitmap was built FROM, so the round
@@ -106,13 +106,12 @@ func PageRank(mult Multiplier, n sparse.Index, opt PageRankOptions) *PageRankRes
 	yf := sparse.NewOutputFrontier(n)
 	next := sparse.NewSpVec(n, int(n))
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for iter := 0; iter < opt.MaxIter && delta.NNZ() > 0; iter++ {
 		res.ActiveCounts = append(res.ActiveCounts, delta.NNZ())
 		res.Iterations++
 		df.SetList(delta)
-		plan.Mult(df, yf, semiring.Arithmetic, d)
+		engine.Mult(mult, df, yf, semiring.Arithmetic, d)
 		y := yf.List()
 		next.Reset(n)
 		for k, i := range y.Ind {

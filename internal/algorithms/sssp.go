@@ -33,10 +33,9 @@ func SSSP(mult Multiplier, n sparse.Index, source sparse.Index) []float64 {
 	xf := sparse.NewFrontier(x)
 	yf := sparse.NewOutputFrontier(n)
 	d := engine.Desc{Output: engine.OutputList}
-	plan := engine.CompilePlan(mult, d.Shape())
 
 	for x.NNZ() > 0 {
-		plan.Mult(xf, yf, semiring.MinPlus, d)
+		engine.Mult(mult, xf, yf, semiring.MinPlus, d)
 		y := yf.List()
 		// Drop the bitmap a bitmap-reading engine built from this
 		// round's x before x is rebuilt in place.

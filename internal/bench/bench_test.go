@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -168,6 +169,23 @@ func TestFormatHelpers(t *testing.T) {
 	}
 	if got := Speedup(time.Second, 0); got != "-" {
 		t.Errorf("Speedup(0) = %q", got)
+	}
+}
+
+// TestTables12Golden pins every engine's per-multiply work counts in
+// Tables12 at t = 1 and 2 against a committed copy of its output, so a
+// change that moves any count, in the kernel or around it, fails here.
+// A change meant to move them rewrites the file with
+// `go run ./cmd/spmspv-bench -experiment tables12 -scale 10 -threads 1,2 -reps 1`.
+func TestTables12Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/tables12.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	Tables12(&buf, Config{Scale: 10, Threads: []int{1, 2}, Reps: 1})
+	if got := buf.String(); got != string(want) {
+		t.Errorf("Tables12 differs from testdata/tables12.golden; got:\n%s", got)
 	}
 }
 

@@ -228,8 +228,7 @@ type Result struct {
 	Emits []Emit
 }
 
-// compilations counts program compilations process-wide — the
-// stored-procedure analogue of engine.PlanCompilations, pinning in
+// compilations counts program compilations process-wide, pinning in
 // tests that warm invoke-by-name traffic recompiles nothing.
 var compilations atomic.Int64
 

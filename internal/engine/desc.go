@@ -132,33 +132,6 @@ type Desc struct {
 	Semiring string `json:"semiring,omitempty"`
 }
 
-// Shape is the dispatch-relevant projection of a Desc: the part that
-// determines the shape handling around the engine's multiply, and
-// therefore the key under which a compiled Plan is cached. Runtime
-// arguments (the mask pointers, complement polarity, batch width,
-// semiring) are NOT part of the shape — two calls that differ only in
-// those share a plan.
-type Shape struct {
-	// Masked is set when the call carries an output mask.
-	Masked bool
-	// Accum is set when the call accumulates into the output.
-	Accum bool
-	// Output is the requested output representation.
-	Output OutputMode
-}
-
-// Shape projects the descriptor onto its dispatch-relevant fields.
-// Transpose is deliberately absent: the facade resolves it by selecting
-// the Aᵀ-bound engine before the plan lookup, so both orientations
-// compile against the engine that will actually run.
-func (d Desc) Shape() Shape {
-	return Shape{
-		Masked: d.Mask != nil || d.Masks != nil,
-		Accum:  d.Accum,
-		Output: d.Output,
-	}
-}
-
 // Validate checks the descriptor's internal consistency — the checks a
 // network server runs on a decoded request before touching the payload.
 // It does not (cannot) check agreement with call arguments; Mult and

@@ -110,7 +110,7 @@ func TestHybridMatchesOracleAtEveryThreshold(t *testing.T) {
 				}
 
 				// Accumulate: y ← accum ⊕ (A·x), the GraphBLAS pattern the
-				// plan builds from Multiply + EwiseAddInto.
+				// engine.Mult builds from Multiply + EwiseAddInto.
 				accum := testutil.RandomVector(rng, a.NumRows, 40, true)
 				prod := sparse.NewSpVec(0, 0)
 				testutil.Multiply(h, x, prod, sr)

@@ -16,7 +16,6 @@ import (
 
 	spmspv "spmspv"
 	"spmspv/internal/dataflow"
-	"spmspv/internal/engine"
 	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
 )
@@ -410,14 +409,10 @@ func TestStoredProgramRegistry(t *testing.T) {
 		t.Error("invoke without the seed binding succeeded")
 	}
 
-	// Warm invokes recompile nothing: neither engine plans nor
-	// programs.
-	plansBefore, progsBefore := engine.PlanCompilations(), dataflow.Compilations()
+	// Warm invokes recompile no program.
+	progsBefore := dataflow.Compilations()
 	for i := 0; i < 5; i++ {
 		compareBFS(t, "warm invoke", invoke(), want)
-	}
-	if d := engine.PlanCompilations() - plansBefore; d != 0 {
-		t.Errorf("warm invokes compiled %d engine plans, want 0", d)
 	}
 	if d := dataflow.Compilations() - progsBefore; d != 0 {
 		t.Errorf("warm invokes compiled %d programs, want 0", d)

@@ -77,8 +77,7 @@ type ProgramStat struct {
 // programEntry pairs a stored procedure's source (served back by GET)
 // with its compiled form — validated and lowered ONCE at registration,
 // so warm invoke traffic runs zero compilations (pinned by
-// dataflow.Compilations in tests, the program-level analogue of the
-// store's zero-plan-recompile contract) — and its serving counters.
+// dataflow.Compilations in tests) — and its serving counters.
 type programEntry struct {
 	src      *Program
 	compiled *dataflow.Program

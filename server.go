@@ -735,6 +735,10 @@ func (b *multBatcher) flush(batch []*pendingMult) {
 			req.Desc.Masks[q] = mk
 		}
 	}
+	// The store's do validates every slot again, against the matrix it
+	// runs on: a Put may have replaced the matrix since the slots were
+	// validated at submit, and an unchecked slot would panic in the
+	// engine instead of failing invalid_request.
 	resp, err := b.server.store.do(req)
 	if err == nil {
 		batch[0].stats.ObserveBatch(len(batch))

@@ -672,17 +672,7 @@ func TestServeNonFiniteReply(t *testing.T) {
 	if we, ok := err.(*spmspv.WireError); !ok || we.Code != spmspv.CodeNotAcceptable {
 		t.Errorf("GET program over JSON: %v, want a not_acceptable *WireError", err)
 	}
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/programs/literal", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", spmspv.ContentTypeBinary)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	p, err := spmspv.DecodeProgramBinary(resp.Body)
+	p, err := binC.GetProgram("literal")
 	if err != nil {
 		t.Fatalf("GET program over binary: %v", err)
 	}

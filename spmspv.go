@@ -248,19 +248,14 @@ func ResetFrontierStats() { sparse.ResetFrontierConversions() }
 //
 // A Multiplier is safe for concurrent use by multiple goroutines: the
 // underlying engines pool their per-call workspaces, the lazily-built
-// transpose engine and the per-shape plans are constructed exactly
-// once, and work counters are aggregated race-free. Parallelism also
-// exists inside each call, so a single caller still saturates the
-// machine.
+// transpose engine is constructed exactly once, and work counters are
+// aggregated race-free. Parallelism also exists inside each call, so a
+// single caller still saturates the machine.
 type Multiplier struct {
 	a   *Matrix
 	eng engine.Engine
 	alg Algorithm
 	opt Options
-
-	// plans caches one compiled engine.Plan per descriptor shape, so
-	// the shape handling is resolved once per shape, not once per call.
-	plans sync.Map // engine.Shape → *engine.Plan
 
 	leftOnce sync.Once
 	left     *Multiplier // lazily built Aᵀ engine for Desc.Transpose
@@ -351,10 +346,8 @@ func NewMultiplier(a *Matrix, opts ...Option) (*Multiplier, error) {
 // representation. The zero Desc is a plain multiply with the engine's
 // richest native output.
 //
-// Shape handling runs off the hot path: the plan for each descriptor
-// shape is compiled once per Multiplier and cached. A zero-valued sr
-// resolves d.Semiring by name (the wire form); an explicit sr always
-// wins.
+// A zero-valued sr resolves d.Semiring by name (the wire form); an
+// explicit sr always wins.
 //
 // Mult panics on an inconsistent descriptor (Complement without a
 // mask, an unresolvable semiring) exactly as the slice-length checks
@@ -366,8 +359,7 @@ func (m *Multiplier) Mult(x, y *Frontier, sr Semiring, d Desc) {
 		m.transposed().Mult(x, y, sr, d)
 		return
 	}
-	sr = resolveSemiring(sr, d)
-	m.planFor(d.Shape()).Mult(x, y, sr, d)
+	engine.Mult(m.eng, x, y, resolveSemiring(sr, d), d)
 }
 
 // MultBatch is Mult over a batch: ys[q] ← ⟨op(A)·xs[q], mask_q⟩ for
@@ -383,23 +375,7 @@ func (m *Multiplier) MultBatch(xs, ys []*Frontier, sr Semiring, d Desc) {
 		m.transposed().MultBatch(xs, ys, sr, d)
 		return
 	}
-	sr = resolveSemiring(sr, d)
-	m.planFor(d.Shape()).MultBatch(xs, ys, sr, d)
-}
-
-// Plan returns the multiplier's cached compiled plan for a descriptor
-// shape — the handle loop-heavy callers can hold to make the per-call
-// overhead of Mult (one map load) disappear entirely.
-func (m *Multiplier) Plan(d Desc) *engine.Plan { return m.planFor(d.Shape()) }
-
-// planFor returns the cached plan for shape s, compiling it on first
-// use.
-func (m *Multiplier) planFor(s engine.Shape) *engine.Plan {
-	if p, ok := m.plans.Load(s); ok {
-		return p.(*engine.Plan)
-	}
-	p, _ := m.plans.LoadOrStore(s, engine.CompilePlan(m.eng, s))
-	return p.(*engine.Plan)
+	engine.MultBatch(m.eng, xs, ys, resolveSemiring(sr, d), d)
 }
 
 // transposed returns the multiplier bound to Aᵀ with the same algorithm

@@ -17,12 +17,10 @@ import (
 // service of the spmspv-serve API, in the CombBLAS tradition of
 // long-lived named matrices with cached per-matrix state. Each entry
 // lazily builds and caches ONE Multiplier on first Load: its engine
-// (with the per-matrix preprocessing construction performs), its
-// calibrated hybrid threshold, and its compiled per-shape plans are
-// then shared by every request against that matrix — the concurrency
-// contract makes the single shared Multiplier the cheap, correct
-// shape, and a warm store answers repeat traffic with zero plan
-// compilations.
+// (with the per-matrix preprocessing construction performs) and its
+// calibrated hybrid threshold are then shared by every request against
+// that matrix — the concurrency contract makes the single shared
+// Multiplier the cheap, correct shape.
 //
 // A Store is also an Executor: Do resolves Request.Matrix and Run
 // executes programs, so in-process callers and the HTTP server share
@@ -59,8 +57,8 @@ type StoreStat struct {
 	Rows Index  `json:"rows"`
 	Cols Index  `json:"cols"`
 	NNZ  int64  `json:"nnz"`
-	// Built reports whether the multiplier (engine, plans, calibration)
-	// has been constructed yet; Put alone leaves it false.
+	// Built reports whether the multiplier (engine, calibration) has
+	// been constructed yet; Put alone leaves it false.
 	Built bool               `json:"built"`
 	Serve perf.ServeSnapshot `json:"serve"`
 }
@@ -193,7 +191,7 @@ func (st *Store) load(name string) (*Multiplier, *perf.ServeStats, error) {
 }
 
 // Load returns the cached multiplier for name, building it (engine
-// construction, hybrid calibration, plan cache) on first use.
+// construction, hybrid calibration) on first use.
 func (st *Store) Load(name string) (*Multiplier, error) {
 	mu, _, err := st.load(name)
 	return mu, err
