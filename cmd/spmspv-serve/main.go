@@ -49,6 +49,11 @@
 //	curl -X POST -d '{"matrix":"web","x":{"N":4,"Ind":[0],"Val":[1],"Sorted":true},
 //	                  "desc":{"semiring":"arithmetic"}}' localhost:8090/v1/mult
 //
+// -threads caps the threads one multiply runs on. A multiply uses one
+// thread per grain of its flops (Σ nnz(A(:,j)) over x), so the
+// per-level multiplies of a high-diameter BFS run inline whatever the
+// cap; -par-workers sizes the shared pool the parallel ones run on.
+//
 // Concurrent single-vector requests against the same matrix coalesce
 // into batched multiplies by group commit (-batch-size caps a batch;
 // -batch-window bounds the wait behind a flush still in flight, and 0
@@ -94,7 +99,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8090", "listen address")
 		engName    = flag.String("engine", "bucket", strings.Join(spmspv.EngineNames(), ", "))
-		threads    = flag.Int("threads", 0, "worker threads per multiply (0 = GOMAXPROCS)")
+		threads    = flag.Int("threads", 0, "most worker threads per multiply; smaller multiplies use fewer (0 = GOMAXPROCS)")
 		parWorkers = flag.Int("par-workers", -1,
 			"process-wide executor pool workers shared by all multiplies (-1 = default GOMAXPROCS-1, 0 = run every multiply inline)")
 		window = flag.Duration("batch-window", 500*time.Microsecond,

@@ -222,7 +222,10 @@
 // chunks per worker) and irregular degree distributions rebalance
 // without per-call goroutine spawns. At Threads <= 1, or when the pool
 // is empty, dispatch is a plain inline loop with zero scheduling
-// overhead.
+// overhead. Options.Threads is an upper bound: the bucket kernel runs
+// each call on one thread per grain of its flops (Σ nnz(A(:,j)) over
+// x), so a call too small to be worth a fork-join — every level of a
+// high-diameter BFS — takes that inline loop.
 //
 // Worker ids are job-local and dense (0..p-1, stable for the duration
 // of one Run barrier), so per-job state may be indexed by worker id —

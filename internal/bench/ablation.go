@@ -48,14 +48,14 @@ func Ablation(w io.Writer, cfg Config) {
 		tbl := NewTable(
 			fmt.Sprintf("Ablation (§III-A/B design choices): ljournal stand-in, nnz(x)=%d, t=%d",
 				x.NNZ(), tmax),
-			"variant", "time(ms)", "vs default", "sync events")
+			"variant", "ran on", "time(ms)", "vs default", "sync events")
 		var base Measurement
 		for i, v := range variants {
 			m := TimeMultiply(BucketEngine(v.opt), a, x, tmax, cfg.Reps)
 			if i == 0 {
 				base = m
 			}
-			tbl.AddRow(v.name, Ms(m.Elapsed), Speedup(base.Elapsed, m.Elapsed),
+			tbl.AddRow(v.name, m.ranOn(), Ms(m.Elapsed), Speedup(base.Elapsed, m.Elapsed),
 				fmt.Sprint(m.Work.SyncEvents))
 		}
 		tbl.Render(w)

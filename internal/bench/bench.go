@@ -122,6 +122,35 @@ type Measurement struct {
 	Work     perf.Counters // per multiply (averaged over reps)
 	Steps    perf.StepTimes
 	HasSteps bool
+
+	// ran is the fewest and the most threads the measured calls ran
+	// on. A bucket call below the kernel's grain runs on fewer than
+	// Threads (core.Multiplier.CallThreads); the baselines use Threads.
+	ran [2]int
+}
+
+// ranOn formats the threads the measured calls ran on for a table
+// cell: "2", or "1-2" when the calls differed.
+func (m Measurement) ranOn() string {
+	if m.ran[0] == m.ran[1] {
+		return fmt.Sprint(m.ran[0])
+	}
+	return fmt.Sprintf("%d-%d", m.ran[0], m.ran[1])
+}
+
+// ranThreads returns the fewest and the most threads eng's calls over
+// xs run on, for a measurement at the given thread count.
+func ranThreads(eng Engine, xs []*sparse.SpVec, threads int) [2]int {
+	bm, ok := eng.(*core.Multiplier)
+	if !ok || len(xs) == 0 {
+		return [2]int{threads, threads}
+	}
+	r := [2]int{threads, 1}
+	for _, x := range xs {
+		t := bm.CallThreads(x)
+		r[0], r[1] = min(r[0], t), max(r[1], t)
+	}
+	return r
 }
 
 // TimeMultiply measures one engine on one vector: reps repetitions
@@ -147,6 +176,7 @@ func TimeMultiply(spec EngineSpec, a *sparse.CSC, x *sparse.SpVec, threads, reps
 		NNZY:    y.NNZ(),
 		Elapsed: elapsed,
 		Work:    work,
+		ran:     ranThreads(eng, []*sparse.SpVec{x}, threads),
 	}
 	if bm, ok := eng.(*core.Multiplier); ok {
 		m.Steps = bm.Steps()
@@ -186,6 +216,7 @@ func TimeBFS(spec EngineSpec, a *sparse.CSC, frontiers []*sparse.SpVec, threads,
 		NNZX:    nnzx,
 		Elapsed: elapsed,
 		Work:    work,
+		ran:     ranThreads(eng, frontiers, threads),
 	}
 }
 

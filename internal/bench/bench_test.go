@@ -97,11 +97,19 @@ func TestTimeMultiplyAndTimeBFS(t *testing.T) {
 	if !m.HasSteps {
 		t.Error("bucket engine should report step times")
 	}
+	// x selects ~20 matrix entries, far below the bucket kernel's
+	// grain, so the call ran on one thread whatever was requested.
+	if got := m.ranOn(); got != "1" {
+		t.Errorf("bucket multiply ran on %q threads, want 1", got)
+	}
 
 	frontiers := CaptureFrontiers(a, 0)
 	mb := TimeBFS(AllEngines()[1], a, frontiers, 2, 1)
 	if mb.Elapsed <= 0 || mb.Engine != "CombBLAS-SPA" {
 		t.Errorf("bfs measurement: %+v", mb)
+	}
+	if got := mb.ranOn(); got != "2" {
+		t.Errorf("baseline BFS ran on %q threads, want the requested 2", got)
 	}
 }
 

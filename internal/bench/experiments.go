@@ -82,7 +82,7 @@ func Fig2(w io.Writer, cfg Config) {
 		xu := shuffled(x, 1)
 		tbl := NewTable(
 			fmt.Sprintf("Fig 2: SpMSpV-bucket sorted vs unsorted, %s stand-in, nnz(x)=%d", "ljournal-2008", x.NNZ()),
-			"threads", "sorted(ms)", "unsorted(ms)", "sorted speedup", "unsorted speedup")
+			"threads", "ran on", "sorted(ms)", "unsorted(ms)", "sorted speedup", "unsorted speedup")
 		var baseS, baseU time.Duration
 		for _, t := range cfg.Threads {
 			ms := TimeMultiply(BucketEngine(core.Options{SortOutput: true}), a, x, t, cfg.Reps)
@@ -90,7 +90,7 @@ func Fig2(w io.Writer, cfg Config) {
 			if t == cfg.Threads[0] {
 				baseS, baseU = ms.Elapsed, mu.Elapsed
 			}
-			tbl.AddRow(fmt.Sprint(t), Ms(ms.Elapsed), Ms(mu.Elapsed),
+			tbl.AddRow(fmt.Sprint(t), ms.ranOn(), Ms(ms.Elapsed), Ms(mu.Elapsed),
 				Speedup(baseS, ms.Elapsed), Speedup(baseU, mu.Elapsed))
 		}
 		tbl.Render(w)
@@ -110,16 +110,16 @@ func Fig3(w io.Writer, cfg Config) {
 		tbl := NewTable(
 			fmt.Sprintf("Fig 3: SpMSpV time vs nnz(x), ljournal-2008 stand-in, %d thread(s)", threads),
 			"nnz(x)", "bucket(ms)", "CombBLAS-SPA(ms)", "CombBLAS-heap(ms)", "GraphMat(ms)",
-			"SPA/bucket", "heap/bucket", "GrM/bucket")
+			"SPA/bucket", "heap/bucket", "GrM/bucket", "bucket ran on")
 		for _, x := range frontiers {
-			times := make([]time.Duration, 0, 4)
+			ms := make([]Measurement, 0, 4)
 			for _, spec := range AllEngines() {
-				m := TimeMultiply(spec, a, x, threads, cfg.Reps)
-				times = append(times, m.Elapsed)
+				ms = append(ms, TimeMultiply(spec, a, x, threads, cfg.Reps))
 			}
 			tbl.AddRow(fmt.Sprint(x.NNZ()),
-				Ms(times[0]), Ms(times[1]), Ms(times[2]), Ms(times[3]),
-				Speedup(times[1], times[0]), Speedup(times[2], times[0]), Speedup(times[3], times[0]))
+				Ms(ms[0].Elapsed), Ms(ms[1].Elapsed), Ms(ms[2].Elapsed), Ms(ms[3].Elapsed),
+				Speedup(ms[1].Elapsed, ms[0].Elapsed), Speedup(ms[2].Elapsed, ms[0].Elapsed),
+				Speedup(ms[3].Elapsed, ms[0].Elapsed), ms[0].ranOn())
 		}
 		tbl.Render(w)
 		fmt.Fprintln(w)
@@ -157,7 +157,7 @@ func fig45(w io.Writer, cfg Config, figName string, probs []graphgen.Problem, sp
 	for _, p := range probs {
 		a := p.Build(cfg.Scale)
 		frontiers := CaptureFrontiers(a, cfg.Source)
-		headers := []string{"threads"}
+		headers := []string{"threads", "bucket ran on"}
 		for _, s := range specs {
 			headers = append(headers, s.Name+"(ms)")
 		}
@@ -169,10 +169,13 @@ func fig45(w io.Writer, cfg Config, figName string, probs []graphgen.Problem, sp
 				figName, p.Name, p.PaperName, p.Class, a.NumCols, a.NNZ(), len(frontiers)),
 			headers...)
 		for _, t := range cfg.Threads {
-			row := []string{fmt.Sprint(t)}
+			row := []string{fmt.Sprint(t), ""}
 			var works []string
-			for _, spec := range specs {
+			for i, spec := range specs {
 				m := TimeBFS(spec, a, frontiers, t, cfg.Reps)
+				if i == 0 { // specs[0] is the bucket engine
+					row[1] = m.ranOn()
+				}
 				row = append(row, Ms(m.Elapsed))
 				works = append(works, fmt.Sprint(m.Work.Work()))
 			}
@@ -195,7 +198,7 @@ func Fig6(w io.Writer, cfg Config) {
 	for _, x := range distinctByNNZ(frontiers, 3) {
 		tbl := NewTable(
 			fmt.Sprintf("Fig 6: SpMSpV-bucket step breakdown, nnz(x)=%d", x.NNZ()),
-			"threads", "estimate(ms)", "bucketing(ms)", "SPA-merge(ms)", "output(ms)", "total(ms)")
+			"threads", "ran on", "estimate(ms)", "bucketing(ms)", "SPA-merge(ms)", "output(ms)", "total(ms)")
 		for _, t := range cfg.Threads {
 			spec := BucketEngine(core.Options{SortOutput: true})
 			eng := spec.Build(a, t).(*core.Multiplier)
@@ -207,8 +210,8 @@ func Fig6(w io.Writer, cfg Config) {
 				acc.Add(eng.Steps())
 			}
 			acc.Scale(cfg.Reps)
-			tbl.AddRow(fmt.Sprint(t), Ms(acc.Estimate), Ms(acc.Bucket), Ms(acc.Merge),
-				Ms(acc.Output), Ms(acc.Total()))
+			tbl.AddRow(fmt.Sprint(t), fmt.Sprint(eng.CallThreads(x)),
+				Ms(acc.Estimate), Ms(acc.Bucket), Ms(acc.Merge), Ms(acc.Output), Ms(acc.Total()))
 		}
 		tbl.Render(w)
 		fmt.Fprintln(w)

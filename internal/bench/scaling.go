@@ -39,17 +39,17 @@ func Scaling(w io.Writer, cfg Config) {
 		}
 		tbl := NewTable(
 			fmt.Sprintf("Scaling: Step-2 schedules on rmat-ljournal stand-in (power-law), nnz(x)=%d", x.NNZ()),
-			"threads", "sched", "ns/op", "claims/op", "steals/op", "sync/op", "idle%/thread")
+			"threads", "ran on", "sched", "ns/op", "claims/op", "steals/op", "sync/op", "idle%/thread")
 		for _, t := range cfg.Threads {
 			for _, s := range scheds {
 				opt := core.Options{SortOutput: true, MergeSched: s.sched}
 				m := TimeMultiply(BucketEngine(opt), a, x, t, cfg.Reps)
 				idle := "-"
-				if t > 0 && m.Elapsed > 0 {
+				if m.Elapsed > 0 {
 					idle = fmt.Sprintf("%.1f",
-						100*float64(m.Work.IdleNs)/float64(int64(t)*m.Elapsed.Nanoseconds()))
+						100*float64(m.Work.IdleNs)/float64(int64(m.ran[0])*m.Elapsed.Nanoseconds()))
 				}
-				tbl.AddRow(fmt.Sprint(t), s.name,
+				tbl.AddRow(fmt.Sprint(t), m.ranOn(), s.name,
 					fmt.Sprint(m.Elapsed.Nanoseconds()),
 					fmt.Sprint(m.Work.ChunkClaims),
 					fmt.Sprint(m.Work.Steals),

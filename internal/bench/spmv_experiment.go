@@ -25,7 +25,7 @@ func SpMVCrossover(w io.Writer, cfg Config) {
 
 	tbl := NewTable(
 		fmt.Sprintf("§III-C: SpMSpV-bucket vs binned SpMV (ref [19]), ljournal stand-in, t=%d", tmax),
-		"nnz(x)/n", "nnz(x)", "SpMSpV(ms)", "binned SpMV(ms)", "SpMSpV/SpMV")
+		"nnz(x)/n", "nnz(x)", "SpMSpV ran on", "SpMSpV(ms)", "binned SpMV(ms)", "SpMSpV/SpMV")
 
 	binned := spmv.NewBinned(a, tmax, 4)
 	bucket := core.NewMultiplier(a, core.Options{Threads: tmax, SortOutput: true})
@@ -61,7 +61,7 @@ func SpMVCrossover(w io.Writer, cfg Config) {
 		denseTime := time.Since(start) / time.Duration(cfg.Reps)
 
 		tbl.AddRow(fmt.Sprintf("%.3f", float64(perMille)/1000), fmt.Sprint(f),
-			Ms(sparseTime), Ms(denseTime),
+			fmt.Sprint(bucket.CallThreads(x)), Ms(sparseTime), Ms(denseTime),
 			fmt.Sprintf("%.2f", float64(sparseTime)/float64(denseTime)))
 	}
 	tbl.Render(w)

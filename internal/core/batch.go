@@ -78,30 +78,33 @@ func (mu *Multiplier) multiplyBatchLists(xs, ys []*sparse.SpVec, sr semiring.Sem
 		return outBits[lo:hi]
 	}
 
-	// Segment the batch so one segment's bucket storage stays within
-	// the single-call bound (≈ nnz(A) entries, the paper's §III-A
-	// preallocation ceiling). Sparse frontiers — whose per-frontier df
-	// is tiny — batch by the dozens under the budget, which is exactly
-	// where the shared Estimate pass pays; a run of dense frontiers
-	// degrades gracefully toward singleton segments instead of
-	// streaming a k·nnz(A) working set through memory for no
-	// amortization gain.
-	budget := mu.A.NNZ()
-	if budget < 1 {
-		budget = 1
-	}
+	forBatchSegments(mu.A, xs, func(lo, hi int) {
+		multiplyBatch(mu.A, xs[lo:hi], ys[lo:hi], sr, ws, mu.Opt, subMasks(lo, hi), complement, subBits(lo, hi))
+	})
+	mu.retire(ws, slot)
+}
+
+// forBatchSegments calls fn once per segment [lo, hi) of a non-empty
+// batch, in order, so that one segment's bucket storage stays within
+// the single-call bound (≈ nnz(A) entries, the paper's §III-A
+// preallocation ceiling). Sparse frontiers — whose per-frontier df is
+// tiny — batch by the dozens under the budget, which is exactly where
+// the shared Estimate pass pays; a run of dense frontiers degrades
+// gracefully toward singleton segments instead of streaming a
+// k·nnz(A) working set through memory for no amortization gain.
+func forBatchSegments(a *sparse.CSC, xs []*sparse.SpVec, fn func(lo, hi int)) {
+	budget := max(a.NNZ(), 1)
 	lo := 0
 	var acc int64
 	for q := range xs {
-		w := frontierWork(mu.A, xs[q])
+		w := frontierWork(a, xs[q])
 		if q > lo && acc+w > budget {
-			multiplyBatch(mu.A, xs[lo:q], ys[lo:q], sr, ws, mu.Opt, subMasks(lo, q), complement, subBits(lo, q))
+			fn(lo, q)
 			lo, acc = q, 0
 		}
 		acc += w
 	}
-	multiplyBatch(mu.A, xs[lo:], ys[lo:], sr, ws, mu.Opt, subMasks(lo, len(xs)), complement, subBits(lo, len(xs)))
-	mu.retire(ws, slot)
+	fn(lo, len(xs))
 }
 
 // frontierWork returns the number of matrix entries frontier x selects

@@ -17,8 +17,10 @@ import (
 // staging and ∞-sentinel ablations included) and batch compositions
 // (including empty and duplicate-free/duplicated frontiers) and checks
 // every output against both a loop of single multiplies and the
-// sequential reference.
+// sequential reference. The grain is lowered so each variant's batches
+// run on its configured t.
 func TestMultiplyBatchMatchesLoop(t *testing.T) {
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct {
 		m, n sparse.Index
@@ -52,7 +54,9 @@ func TestMultiplyBatchMatchesLoop(t *testing.T) {
 						ys[q] = sparse.NewSpVec(0, 0)
 						want[q] = baselines.Reference(a, xs[q], sr)
 					}
+					mu.ResetCounters()
 					testutil.MultiplyBatch(mu, xs, ys, sr)
+					requireCounts(t, name, a, variants[name], mu.Counters(), segmentsOf(a, xs)...)
 					for q := 0; q < k; q++ {
 						if !ys[q].EqualValues(want[q], 1e-9) {
 							t.Fatalf("%dx%d %s k=%d sr=%s frontier %d: batch result differs from reference",
@@ -91,8 +95,9 @@ func TestMultiplyBatchAllEmpty(t *testing.T) {
 // TestMultiplyBatchCounters checks that the batch path records the
 // same deterministic work the loop path does for the shared terms,
 // under the default merge and scatter and under the ∞-sentinel and
-// staging ablations.
+// staging ablations, with both paths on 2 threads.
 func TestMultiplyBatchCounters(t *testing.T) {
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(11))
 	a := testutil.RandomCSC(rng, 300, 300, 4)
 	xs := make([]*sparse.SpVec, 4)

@@ -15,8 +15,10 @@ import (
 // single x and on a 3-frontier batch, and checks every result against
 // the sequential oracle. The fuzzer explores the configuration space
 // (bucket-count rounding, range splitting across frontier boundaries,
-// staging flushes) far beyond the hand-picked test matrix.
+// staging flushes) far beyond the hand-picked test matrix. The grain is
+// lowered so every call runs on the fuzzed thread count.
 func FuzzMultiplyMatchesReference(f *testing.F) {
+	withGrain(f, 1)
 	f.Add(int64(1), uint16(100), uint16(100), uint8(4), uint8(2), uint8(0))
 	f.Add(int64(2), uint16(1), uint16(1), uint8(1), uint8(1), uint8(7))
 	f.Add(int64(3), uint16(3000), uint16(17), uint8(30), uint8(8), uint8(3))
@@ -51,6 +53,7 @@ func FuzzMultiplyMatchesReference(f *testing.F) {
 		ws := NewWorkspace(0, 0)
 		y := sparse.NewSpVec(0, 0)
 		Multiply(a, x, y, semiring.Arithmetic, ws, opt)
+		requireCounts(t, "single call", a, opt, ws.TotalCounters(), []*sparse.SpVec{x})
 		want := baselines.Reference(a, x, semiring.Arithmetic)
 		if !y.EqualValues(want, 1e-9) {
 			t.Fatalf("mismatch: m=%d n=%d d=%g f=%d opts=%+v", m, n, d, f64, opt)
@@ -89,8 +92,10 @@ func FuzzMultiplyMatchesReference(f *testing.F) {
 // masked frontier outputs: the mask-pushdown merge plus the native
 // list+bitmap output pass must equal the oracle with the mask applied
 // after the fact, and the emitted bitmap must mirror the list, across
-// fuzzer-chosen shapes, mask densities and polarities.
+// fuzzer-chosen shapes, mask densities and polarities, on the fuzzed
+// thread count (the grain is lowered).
 func FuzzMultiplyMaskedOutputMatchesReference(f *testing.F) {
+	withGrain(f, 1)
 	f.Add(int64(1), uint16(100), uint16(100), uint8(4), uint8(2), uint8(0), uint8(128))
 	f.Add(int64(2), uint16(1), uint16(1), uint8(1), uint8(1), uint8(1), uint8(0))
 	f.Add(int64(3), uint16(3000), uint16(17), uint8(30), uint8(8), uint8(2), uint8(255))
@@ -151,5 +156,6 @@ func FuzzMultiplyMaskedOutputMatchesReference(f *testing.F) {
 				}
 			}
 		}
+		requireCounts(t, "masked calls", a, opt, mu.Counters(), []*sparse.SpVec{x}, []*sparse.SpVec{x}, []*sparse.SpVec{x})
 	})
 }

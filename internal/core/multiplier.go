@@ -106,5 +106,13 @@ func (mu *Multiplier) Steps() perf.StepTimes {
 	return mu.steps
 }
 
+// CallThreads returns the number of threads a multiply of mu over x
+// runs on: Opt.Threads, clamped to nnz(x) and to one thread per grain
+// of the call's flops. Benchmark tables label their bucket rows with
+// it.
+func (mu *Multiplier) CallThreads(x *sparse.SpVec) int {
+	return callThreads(mu.Opt.WithDefaults().Threads, int64(x.NNZ()), frontierWork(mu.A, x))
+}
+
 // Name identifies the algorithm in benchmark tables.
 func (mu *Multiplier) Name() string { return "SpMSpV-bucket" }

@@ -71,12 +71,25 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 		return
 	}
 
-	// The paper's parallel analysis assumes t ≤ f; more threads than
-	// input nonzeros cannot be given distinct Step-1 work.
-	t := opt.Threads
-	if int64(t) > f {
-		t = int(f)
+	var timer perf.Timer
+	timer.Start()
+
+	// Cumulative column weights over the concatenated inputs: their
+	// total, the call's flops Σ nnz(A(:,j)), sets its thread count, and
+	// the default split partitions by them.
+	if int64(cap(ws.xcum)) < f+1 {
+		ws.xcum = make([]int64, f+1)
 	}
+	cum := ws.xcum[:f+1]
+	cum[0] = 0
+	p := 0
+	for _, x := range xs {
+		for _, j := range x.Ind {
+			cum[p+1] = cum[p] + a.ColLen(j)
+			p++
+		}
+	}
+	t := callThreads(opt.Threads, f, cum[f])
 	nb, shift := bucketGeometry(m, opt.BucketsPerThread*t)
 	NB := k * nb
 	// Over-decompose the input split into ~8 stealable chunks per worker
@@ -89,9 +102,6 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 	// keeps their closures small.
 	ws.xs, ws.ys, ws.masks, ws.outBits = xs, ys, masks, outBits
 
-	var timer perf.Timer
-	timer.Start()
-
 	// Partition the f input nonzeros among nc chunks, crossing frontier
 	// boundaries freely. The default weights each x entry by its
 	// column's nonzero count — the §III-B fix that keeps the span low
@@ -99,18 +109,6 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 	if opt.SplitEvenly {
 		ws.ranges = par.EvenRangesInto(int(f), nc, ws.ranges)
 	} else {
-		if int64(cap(ws.xcum)) < f+1 {
-			ws.xcum = make([]int64, f+1)
-		}
-		cum := ws.xcum[:f+1]
-		cum[0] = 0
-		p := 0
-		for _, x := range xs {
-			for _, j := range x.Ind {
-				cum[p+1] = cum[p] + a.ColLen(j)
-				p++
-			}
-		}
 		ws.ranges = par.SplitByWeightInto(cum, nc, ws.ranges)
 	}
 
@@ -327,6 +325,23 @@ func multiplyBatch(a *sparse.CSC, xs, ys []*sparse.SpVec, sr semiring.Semiring, 
 	ws.Steps.Output = timer.Lap()
 	ws.foldSched(t)
 	ws.xs, ws.ys, ws.masks, ws.outBits = nil, nil, nil, nil
+}
+
+// grain is the flops one thread of a call must have before the call is
+// split: below it, a fork-join on the executor costs more than the
+// share of the multiply it hands off. BenchmarkGrain measures the
+// crossover between one and two threads (EXPERIMENTS.md); charging one
+// more grain for each further thread is not measured. Only tests
+// assign it, to keep small inputs on the parallel path.
+var grain int64 = 1 << 14
+
+// callThreads returns the thread count of a call with f input nonzeros
+// and the given flops: one thread per started grain of flops, at least
+// one and at most the requested t and f. The paper's parallel analysis
+// assumes t ≤ f; more threads than input nonzeros cannot be given
+// distinct Step-1 work.
+func callThreads(t int, f, flops int64) int {
+	return int(max(1, min(int64(t), f, (flops+grain-1)/grain)))
 }
 
 // bucketGeometry maps an m-row matrix onto at most nbReq buckets. The

@@ -46,7 +46,8 @@ func paperMatrix(t *testing.T) *sparse.CSC {
 }
 
 // optionMatrix enumerates the algorithm variants every correctness test
-// should cover.
+// should cover. Its tests lower the grain so each variant runs on its
+// configured t.
 func optionMatrix() map[string]Options {
 	return map[string]Options{
 		"default":        {Threads: 4},
@@ -66,6 +67,7 @@ func optionMatrix() map[string]Options {
 }
 
 func TestPaperWorkedExample(t *testing.T) {
+	withGrain(t, 1)
 	a := paperMatrix(t)
 	// x has nonzeros at indices 2, 5, 7 as in Fig. 1.
 	x := sparse.NewSpVec(8, 3)
@@ -85,6 +87,7 @@ func TestPaperWorkedExample(t *testing.T) {
 			ws := NewWorkspace(8, 0)
 			y := sparse.NewSpVec(8, 0)
 			Multiply(a, x, y, semiring.Arithmetic, ws, opt)
+			requireCounts(t, name, a, opt, ws.TotalCounters(), []*sparse.SpVec{x})
 			if y.NNZ() != len(wantInd) {
 				t.Fatalf("nnz(y) = %d, want %d (y=%v %v)", y.NNZ(), len(wantInd), y.Ind, y.Val)
 			}
@@ -98,6 +101,7 @@ func TestPaperWorkedExample(t *testing.T) {
 }
 
 func TestMatchesReferenceRandom(t *testing.T) {
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct {
 		m, n sparse.Index
@@ -119,6 +123,7 @@ func TestMatchesReferenceRandom(t *testing.T) {
 				ws := NewWorkspace(0, 0)
 				y := sparse.NewSpVec(0, 0)
 				Multiply(a, x, y, semiring.Arithmetic, ws, opt)
+				requireCounts(t, name, a, opt, ws.TotalCounters(), []*sparse.SpVec{x})
 				if !y.EqualValues(want, 1e-9) {
 					t.Fatalf("%s: %dx%d d=%g f=%d: mismatch vs reference", name, sh.m, sh.n, sh.d, f)
 				}
@@ -211,6 +216,7 @@ func TestEmptyAndEdgeCases(t *testing.T) {
 }
 
 func TestWorkspaceReuseAcrossMatrices(t *testing.T) {
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(3))
 	ws := NewWorkspace(0, 0)
 	y := sparse.NewSpVec(0, 0)
@@ -235,7 +241,9 @@ func TestWorkspaceReuseWithSkewedSplits(t *testing.T) {
 	// range; those workers' Boffset rows were once left stale from the
 	// previous call, leaking garbage bucket entries into the next
 	// output. The trigger is a call with large per-worker counts
-	// followed by a call whose weight distribution leaves workers idle.
+	// followed by a call whose weight distribution leaves workers idle,
+	// so the grain is lowered to run both on 4 threads.
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(77))
 	a := testutil.RandomCSC(rng, 2000, 2000, 6)
 	ws := NewWorkspace(0, 0)
@@ -406,7 +414,9 @@ func TestStepTimesPopulated(t *testing.T) {
 func TestCountersWorkEfficiency(t *testing.T) {
 	// The defining property of the paper: total work of the bucket
 	// algorithm is independent of thread count (within rounding), while
-	// the input-scan work of CombBLAS-SPA grows linearly with t.
+	// the input-scan work of CombBLAS-SPA grows linearly with t. The
+	// grain is lowered so each t is the one the call runs on.
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(29))
 	a := testutil.RandomCSC(rng, 20000, 20000, 8)
 	x := testutil.RandomVector(rng, 20000, 500, true)

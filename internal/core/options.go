@@ -21,6 +21,15 @@
 // Total work is O(df) for an Erdős–Rényi G(n, d/n) matrix and an input
 // with f nonzeros, matching the problem's lower bound; the parallel
 // depth is O(df/t) for t ≤ f threads.
+//
+// Each call picks its own t before Step 1. The requested thread count
+// (Options.Threads) is an upper bound: a call runs on one thread per
+// grain of its flops, Σ nnz(A(:,j)) over x, and never on more threads
+// than x has nonzeros. A call below the grain — every level of a
+// high-diameter BFS — runs inline on the caller, with no fork-join.
+// Sorted outputs, and every count perf.Counters.Work sums except
+// SyncEvents, are the same at any t; an unsorted output lists its
+// entries in the order of the t the call ran on.
 package core
 
 import "spmspv/internal/engine"

@@ -25,7 +25,9 @@ func TestOptionsDefaults(t *testing.T) {
 func TestThreadClampToNNZX(t *testing.T) {
 	// The paper's analysis assumes t ≤ f; with f=2 and 16 requested
 	// threads the multiply must still be correct and the per-worker
-	// counters beyond the effective t stay untouched.
+	// counters beyond the effective t stay untouched. The grain is
+	// lowered so nnz(x) is the clamp that binds.
+	withGrain(t, 1)
 	rng := newRand(5)
 	a := testutil.RandomCSC(rng, 300, 300, 4)
 	x := testutil.VectorWithIndices(300, 10, 200)

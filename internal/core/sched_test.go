@@ -31,8 +31,10 @@ func schedVariants() []struct {
 // never from which worker executes the chunk — the stealing schedule
 // must produce outputs BIT-identical (not merely numerically close) to
 // the static and dynamic schedules, for single multiplies, masked
-// multiplies and the batched path, across thread counts.
+// multiplies and the batched path, across thread counts. The grain is
+// lowered so every call runs on its configured t.
 func TestSchedulesBitIdentical(t *testing.T) {
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(99))
 	a := testutil.RandomCSC(rng, 700, 700, 6)
 	mask := sparse.NewBitVec(700)
@@ -64,6 +66,9 @@ func TestSchedulesBitIdentical(t *testing.T) {
 					ys[q] = sparse.NewSpVec(0, 0)
 				}
 				testutil.MultiplyBatch(mu, xs, ys, semiring.Arithmetic)
+				label := fmt.Sprintf("t=%d f=%d %s", threads, x.NNZ(), sv.name)
+				requireCounts(t, label, a, opt, ws.TotalCounters(), []*sparse.SpVec{x}, []*sparse.SpVec{x})
+				requireCounts(t, label+" (batch)", a, opt, mu.Counters(), segmentsOf(a, xs)...)
 				if sv.sched == SchedStatic {
 					ref, refMasked, refBatch = y, ym, ys
 					continue
@@ -96,8 +101,9 @@ func requireBitIdentical(t *testing.T, label string, want, got *sparse.SpVec) {
 // claims+steals total — are identical across repeated runs at a fixed
 // thread count under every schedule, even though which worker claims
 // which chunk (and hence the claims/steals split and idle time) is
-// scheduling-dependent.
+// scheduling-dependent. The grain is lowered so t=4 runs on 4 threads.
 func TestWorkCountersDeterministicAtFixedThreads(t *testing.T) {
+	withGrain(t, 1)
 	rng := rand.New(rand.NewSource(5))
 	a := testutil.RandomCSC(rng, 800, 800, 5)
 	x := testutil.RandomVector(rng, 800, 150, true)
@@ -116,6 +122,7 @@ func TestWorkCountersDeterministicAtFixedThreads(t *testing.T) {
 				mu := NewMultiplier(a, opt)
 				testutil.Multiply(mu, x, sparse.NewSpVec(0, 0), semiring.Arithmetic)
 				c := mu.Counters()
+				requireCounts(t, fmt.Sprintf("%s t=%d", sv.name, threads), a, opt, c, []*sparse.SpVec{x})
 				return snapshot{
 					work:       c.Work(),
 					claimsPlus: c.ChunkClaims + c.Steals,

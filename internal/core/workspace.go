@@ -51,8 +51,10 @@ type Workspace struct {
 	spaTag []uint32
 	epoch  uint32
 
-	// xcum holds cumulative column weights for the nonzero-balanced
-	// split; ranges the resulting per-chunk x ranges.
+	// xcum holds the cumulative column weights of the call's inputs:
+	// their total is the call's flops, which set its thread count, and
+	// the nonzero-balanced split partitions by them. ranges holds the
+	// resulting per-chunk x ranges.
 	xcum   []int64
 	ranges [][2]int
 
@@ -164,9 +166,11 @@ func (ws *Workspace) foldSched(t int) {
 	ws.sched.Reset()
 }
 
-// stepChunks returns the Step-1 over-decomposition: ~chunksPerWorker
-// chunks per worker so the executor can steal them, clamped to the f
-// splittable input nonzeros, and exactly one chunk when t == 1 so the
+// stepChunks returns the Step-1 over-decomposition for a call running
+// on t threads (its requested count after the grain and nnz(x) clamps,
+// see callThreads): ~chunksPerWorker chunks per worker so the executor
+// can steal them, clamped to the f splittable input nonzeros, and
+// exactly one chunk when t == 1 — every call below the grain — so the
 // serial path carries no scheduling machinery at all.
 func stepChunks(t, f int) int {
 	if t <= 1 {

@@ -27,9 +27,14 @@ const (
 // threads, 4 buckets per thread, epoch-tag merging, dynamic bucket
 // scheduling, and the nonzero-balanced Step-1 split.
 type Options struct {
-	// Threads is the number of worker threads t; ≤ 0 means GOMAXPROCS.
-	// Following the paper's analysis the effective t never exceeds
-	// nnz(x).
+	// Threads is the most worker threads t a call runs on; ≤ 0 means
+	// GOMAXPROCS. Following the paper's analysis the effective t never
+	// exceeds nnz(x), and the bucket engine also holds it to
+	// ⌈flops/grain⌉, where flops = Σ nnz(A(:,j)) over x: a call too
+	// small to share runs inline on one thread (see internal/core).
+	// The grain is the measured crossover between one and two
+	// threads; that each further thread needs another grain is
+	// unverified.
 	Threads int
 
 	// BucketsPerThread sets nb = BucketsPerThread·t. The paper uses 4

@@ -288,7 +288,10 @@ func WithEngineOptions(opt Options) Option {
 	return func(c *multiplierConfig) { c.opt = opt }
 }
 
-// WithThreads sets the worker thread count (≤ 0 means GOMAXPROCS).
+// WithThreads sets the most worker threads a multiply runs on (≤ 0
+// means GOMAXPROCS). The bucket engine runs each call on fewer when
+// the call is small: one thread per grain of its flops, and never more
+// than nnz(x) (see Options.Threads).
 func WithThreads(n int) Option {
 	return func(c *multiplierConfig) { c.opt.Threads = n }
 }
