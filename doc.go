@@ -115,7 +115,11 @@
 // /v1/programs — warm invoke traffic compiles nothing and ships less
 // than resending the op list. Loops run their accumulator unions in
 // place and recycle dead multiply outputs, so a served BFS level costs
-// no O(n) allocation or bitmap conversion. A program that emits a NaN
+// no O(n) allocation or bitmap conversion. An accumulator union writes
+// only its bitmap and queues its new indices; the sorted list is merged
+// once, when something reads it as a list, so a BFS, which reads its
+// visited set only as a mask, pays O(frontier) per level for it, not
+// O(visited). A program that emits a NaN
 // or ±Inf scalar fails with invalid_request: neither wire form can
 // carry one. A Client implements the same Do/Run surface as the
 // Store (the Executor interface), so algorithm code is

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -266,23 +265,9 @@ func TestGrainSetsCallThreads(t *testing.T) {
 					continue
 				}
 				for q := range ys {
-					requireSameBits(t, fmt.Sprintf("%s slot %d vs t=1", label, q), ref[q], ys[q])
+					requireBitIdentical(t, fmt.Sprintf("%s slot %d vs t=1", label, q), ref[q], ys[q])
 				}
 			}
-		}
-	}
-}
-
-// requireSameBits fails unless got equals want in Sorted, Ind and the
-// bits of every value.
-func requireSameBits(t *testing.T, label string, want, got *sparse.SpVec) {
-	t.Helper()
-	if got.Sorted != want.Sorted || !slices.Equal(got.Ind, want.Ind) {
-		t.Fatalf("%s: indices or Sorted differ", label)
-	}
-	for k, v := range want.Val {
-		if math.Float64bits(got.Val[k]) != math.Float64bits(v) {
-			t.Fatalf("%s: value %d is %x, want %x", label, k, math.Float64bits(got.Val[k]), math.Float64bits(v))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -83,15 +84,17 @@ func TestSchedulesBitIdentical(t *testing.T) {
 	}
 }
 
+// requireBitIdentical fails unless got equals want in Sorted, Ind and
+// the bits of every value, so +0 and −0 differ and a NaN equals itself.
 func requireBitIdentical(t *testing.T, label string, want, got *sparse.SpVec) {
 	t.Helper()
-	if got.NNZ() != want.NNZ() {
-		t.Fatalf("%s: nnz %d, want %d", label, got.NNZ(), want.NNZ())
+	if got.NNZ() != want.NNZ() || got.Sorted != want.Sorted {
+		t.Fatalf("%s: nnz %d sorted %v, want nnz %d sorted %v", label, got.NNZ(), got.Sorted, want.NNZ(), want.Sorted)
 	}
 	for k := range want.Ind {
-		if got.Ind[k] != want.Ind[k] || got.Val[k] != want.Val[k] {
+		if got.Ind[k] != want.Ind[k] || math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
 			t.Fatalf("%s: entry %d = (%d, %x), want (%d, %x)",
-				label, k, got.Ind[k], got.Val[k], want.Ind[k], want.Val[k])
+				label, k, got.Ind[k], math.Float64bits(got.Val[k]), want.Ind[k], math.Float64bits(want.Val[k]))
 		}
 	}
 }

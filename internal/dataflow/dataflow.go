@@ -28,7 +28,11 @@
 //   - accumulators run in place: a body union folding into its own
 //     carry (a BFS visited set, PageRank's ranks) adds into that
 //     frontier from the second iteration on, keeping its bitmap, so a
-//     mask_ref on it converts nothing;
+//     mask_ref on it converts nothing. The union writes only the
+//     bitmap and queues its new indices, in O(nnz(y)); the sorted list
+//     is merged once, when an op next reads it as a list. mask_ref,
+//     until_empty and reduce nnz read the bitmap or the count, so a
+//     BFS never merges its visited set;
 //   - dead frontiers are released: each iteration Releases the mult
 //     outputs it leaves dead, and a pooling backend hands them to the
 //     next iteration's multiply;
@@ -481,15 +485,15 @@ func (e *exec) run(k int, in *Instr, sc *scope, topOp, bodyOp, iter int) (Value,
 		v = Value{F: sparse.NewFrontier(sparse.EwiseMult(ax, ay, in.Mul))}
 
 	case KReduce:
-		src := sc.resolve(in.XRef).F.List()
+		xf := sc.resolve(in.XRef).F
 		var s float64
 		switch in.Reduce {
 		case ReduceSum:
-			s = sparse.Reduce(src, 0, func(acc, val float64) float64 { return acc + val })
+			s = sparse.Reduce(xf.List(), 0, func(acc, val float64) float64 { return acc + val })
 		case ReduceMax:
-			s = sparse.Reduce(src, math.Inf(-1), math.Max)
-		case ReduceNNZ:
-			s = float64(src.NNZ())
+			s = sparse.Reduce(xf.List(), math.Inf(-1), math.Max)
+		case ReduceNNZ: // a count, so an accumulator stays unsettled
+			s = float64(xf.NNZ())
 		}
 		v = Value{S: s, IsScalar: true}
 

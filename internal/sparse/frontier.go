@@ -15,7 +15,11 @@ import (
 // first demand, and then shared by every bitmap consumer of the same
 // frontier — so a BFS level probed by both sides of a hybrid engine
 // pays for at most one list→bitmap conversion, and callers that only
-// ever feed list-format engines never pay for the bitmap at all.
+// ever feed list-format engines never pay for the bitmap at all. The
+// one exception is an accumulator: UnionInPlace writes the bitmap and
+// queues its new indices, and the list catches up (is settled) only
+// when List, UpdateValues or Refine next reads it, so a loop that
+// reads its visited set only as a mask never merges the list.
 //
 // A Frontier is also the engines' output format: an engine writes its
 // result into a frontier through BeginOutput/OutputBits/FinishOutput
@@ -25,16 +29,24 @@ import (
 // list→bitmap conversions on dense phases.
 //
 // Reading a Frontier concurrently is safe — Materialize/Bits
-// serialize the one-time conversion internally, so several engines
-// (or one engine's concurrent calls) may share a frontier. Mutation
+// serialize the one-time conversion internally, and List/NNZ the
+// settling of queued union entries, so several engines (or one
+// engine's concurrent calls) may share a frontier. Mutation
 // (SetList, BeginOutput, UpdateValues, Refine, UnionInPlace, Release)
 // requires exclusive access.
 type Frontier struct {
 	list *SpVec
-	// mu serializes the lazy bitmap materialization; it is taken once
-	// per Bits/Materialize call, never per entry.
+	// mu serializes the lazy bitmap materialization and the settling of
+	// the queue; it is taken once per Bits/Materialize/List/NNZ call,
+	// never per entry.
 	mu   sync.Mutex
 	bits *BitVec
+	// queue holds the indices UnionInPlace added that the list does not
+	// hold yet, each once, in arrival order; their bits and values are
+	// already on bits. stale marks that a union added into the bitmap's
+	// value of an entry the list holds. settle folds both into the list.
+	queue []Index
+	stale bool
 	// bitsValid marks that bits currently mirrors list. When a pooled
 	// frontier is released, the set bits are erased in O(nnz) and the
 	// flag cleared, so the O(n) bitmap allocation is reused without an
@@ -73,11 +85,22 @@ func NewOutputFrontier(n Index) *Frontier {
 // N returns the logical dimension.
 func (f *Frontier) N() Index { return f.list.N }
 
-// NNZ returns the number of stored entries.
-func (f *Frontier) NNZ() int { return f.list.NNZ() }
+// NNZ returns the number of stored entries, queued ones included; it
+// does not settle the list.
+func (f *Frontier) NNZ() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.list.NNZ() + len(f.queue)
+}
 
-// List returns the list-format representation (always present).
-func (f *Frontier) List() *SpVec { return f.list }
+// List returns the list-format representation (always present),
+// settling any entries UnionInPlace queued first.
+func (f *Frontier) List() *SpVec {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.settle()
+	return f.list
+}
 
 // HasBits reports whether the bitmap representation is currently
 // materialized, without triggering a conversion.
@@ -193,9 +216,10 @@ func (f *Frontier) FinishOutput(bitsNative bool) {
 // = parent ids) into the next input (values = the vertices' own ids)
 // without dropping the bitmap.
 func (f *Frontier) UpdateValues(fn func(i Index, v float64) float64) {
-	for k, i := range f.list.Ind {
-		v := fn(i, f.list.Val[k])
-		f.list.Val[k] = v
+	l := f.List()
+	for k, i := range l.Ind {
+		v := fn(i, l.Val[k])
+		l.Val[k] = v
 		if f.bitsValid {
 			f.bits.Val[i] = v
 		}
@@ -207,8 +231,8 @@ func (f *Frontier) UpdateValues(fn func(i Index, v float64) float64) {
 // The support may shrink, so any materialized bitmap is dropped in
 // O(nnz(old)); use UpdateValues when every entry is kept.
 func (f *Frontier) Refine(fn func(i Index, v float64) (float64, bool)) {
+	l := f.List()
 	f.dropBits()
-	l := f.list
 	w := 0
 	for k, i := range l.Ind {
 		if v, keep := fn(i, l.Val[k]); keep {
@@ -221,58 +245,62 @@ func (f *Frontier) Refine(fn func(i Index, v float64) (float64, bool)) {
 }
 
 // UnionInPlace sets f to the element-wise union of f and y, collisions
-// added: bit for bit what EwiseAdd(f.List(), y, nil) returns, including
-// the Sorted flag. It rebuilds neither representation. Each new index
-// of y sets its bit on f's retained bitmap and is merged into the
-// sorted list; each collision adds into the bitmap's copy of its value,
-// and one pass over the list copies the sums back. The bitmap is
-// materialized first if it is not already, so later Bits calls convert
-// nothing. The cost is O(nnz(y)), plus O(nnz(f)) when y collides with
-// f, plus a merge that moves only the list entries above y's smallest
-// new index. This is the accumulator step of a loop: a visited set,
-// which y never collides with, or a rank vector.
+// added: once settled, bit for bit what EwiseAdd(f.List(), y, nil)
+// returns, including the Sorted flag. It touches only the bitmap: each
+// new index of y sets its bit and value on f's retained bitmap and is
+// queued, and each collision adds into the bitmap's copy of its value.
+// The bitmap is materialized first if it is not already, so later Bits
+// calls convert nothing. The cost is O(nnz(y)); Bits and NNZ read the
+// result at once. The list is merged only when a list reader settles
+// it (see settle). This is the accumulator step of a loop: a visited
+// set, which y never collides with, or a rank vector.
 //
 // f's list must be private to f and sorted, as an EwiseAdd result is.
 // y is read only and may be unsorted or hold duplicate indices.
 func (f *Frontier) UnionInPlace(y *SpVec) {
-	l := f.list
-	if l.N != y.N {
+	if f.list.N != y.N {
 		panic("sparse: Frontier.UnionInPlace dimension mismatch")
 	}
-	if !l.Sorted {
+	if !f.list.Sorted {
 		panic("sparse: Frontier.UnionInPlace into an unsorted list")
 	}
 	f.Materialize()
 	f.isOutput = false
 	b := f.bits
-	var fresh []Index // y's new indices, first occurrences only
-	collided := false
 	for k, i := range y.Ind {
 		w, bit := int(i)>>6, uint64(1)<<(uint(i)&63)
 		if b.Words[w]&bit != 0 {
 			b.Val[i] += y.Val[k]
-			collided = true
+			f.stale = true
 			continue
 		}
 		b.Words[w] |= bit
 		b.nset++
 		b.Val[i] = y.Val[k]
-		if fresh == nil {
-			fresh = make([]Index, 0, len(y.Ind)-k)
-		}
-		fresh = append(fresh, i)
+		f.queue = append(f.queue, i)
 	}
-	if collided { // the sums are in the bitmap; copy them to the list
+}
+
+// settle brings the list up to date with the unions queued on the
+// bitmap: it copies the collided sums back, then sorts the queue and
+// merges it in. It costs O(nnz(f)) when a union collided, plus the
+// sort, plus a merge that moves only the list entries above the
+// queue's smallest index. Callers hold f.mu.
+func (f *Frontier) settle() {
+	if len(f.queue) == 0 && !f.stale {
+		return
+	}
+	l, b := f.list, f.bits
+	entries := 0
+	if f.stale { // the sums are in the bitmap; copy them to the list
 		for k, i := range l.Ind {
 			l.Val[k] = b.Val[i]
 		}
+		entries = len(l.Ind)
+		f.stale = false
 	}
-	if len(fresh) == 0 {
-		return
-	}
-	if !y.Sorted {
-		slices.Sort(fresh)
-	}
+	fresh := f.queue
+	slices.Sort(fresh)
 	// Merge from the back. Each new index fresh[q], largest first, scans
 	// down to its place among the m old entries not yet moved. The old
 	// entries above it move up q+1 slots, one for each of fresh[0..q],
@@ -289,8 +317,11 @@ func (f *Frontier) UnionInPlace(y *SpVec) {
 		copy(l.Ind[p+q+1:], l.Ind[p:m])
 		copy(l.Val[p+q+1:], l.Val[p:m])
 		l.Ind[p+q], l.Val[p+q] = i, b.Val[i]
+		entries += m - p + 1
 		m = p
 	}
+	f.queue = fresh[:0]
+	frontierSettledEntries.Add(int64(entries))
 }
 
 // grown returns s extended to length n, at least doubling the capacity
@@ -305,12 +336,15 @@ func grown[E any](s []E, n int) []E {
 	return s[:n]
 }
 
-// dropBits erases the materialized bitmap cheaply (O(nnz), not O(n)).
+// dropBits erases the materialized bitmap cheaply (O(nnz), not O(n)),
+// the queued entries' bits included, and drops the queue.
 func (f *Frontier) dropBits() {
 	if f.bitsValid {
 		f.bits.ClearFrom(f.list)
+		f.bits.clear(f.queue)
 		f.bitsValid = false
 	}
+	f.queue, f.stale = f.queue[:0], false
 }
 
 // Release returns a pool-backed frontier to its home pool, erasing the
@@ -395,6 +429,7 @@ var (
 	frontierConvertedEntries  atomic.Int64
 	frontierOutputConversions atomic.Int64
 	frontierNativeOutputs     atomic.Int64
+	frontierSettledEntries    atomic.Int64
 )
 
 // FrontierConversions returns the process-wide count of list→bitmap
@@ -413,10 +448,17 @@ func FrontierOutputStats() (outputConversions, nativeOutputs int64) {
 	return frontierOutputConversions.Load(), frontierNativeOutputs.Load()
 }
 
-// ResetFrontierConversions zeroes the conversion instrumentation.
+// FrontierSettledEntries returns the process-wide count of list
+// entries that settling moved or wrote: the accumulator's deferred
+// merge and collision copy-back (see UnionInPlace).
+func FrontierSettledEntries() int64 { return frontierSettledEntries.Load() }
+
+// ResetFrontierConversions zeroes the conversion instrumentation and
+// the settled-entry count.
 func ResetFrontierConversions() {
 	frontierConversions.Store(0)
 	frontierConvertedEntries.Store(0)
 	frontierOutputConversions.Store(0)
 	frontierNativeOutputs.Store(0)
+	frontierSettledEntries.Store(0)
 }

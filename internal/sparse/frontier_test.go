@@ -2,8 +2,11 @@ package sparse
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -255,6 +258,222 @@ func TestFrontierUnionInPlaceMatchesEwiseAdd(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+
+	// Second pass: chains of 1–8 unions between reads, so every reader and
+	// mutator also meets a list that is behind its bitmap. Reseeded, so
+	// the pass does not depend on the first pass's map order.
+	rng = rand.New(rand.NewSource(43))
+	kinds := slices.Sorted(maps.Keys(operands))
+	actions := []string{"List", "Bits", "UpdateValues", "Refine", "SetList", "BeginOutput", "Release"}
+	seen := map[string]bool{} // actions taken while a queue was pending
+	settled := func(label string, f *Frontier, want *SpVec) {
+		t.Helper()
+		got := f.List()
+		sameBits(t, label, got, want)
+		if f.HasBits() {
+			b := f.Bits()
+			if b.Count() != got.NNZ() || setBits(b) != got.NNZ() {
+				t.Fatalf("%s: bitmap counts %d (%d set) for %d entries", label, b.Count(), setBits(b), got.NNZ())
+			}
+			for k, i := range got.Ind {
+				if !b.Test(i) || math.Float64bits(b.Val[i]) != math.Float64bits(got.Val[k]) {
+					t.Fatalf("%s: bitmap entry %d does not mirror the list", label, i)
+				}
+			}
+		}
+	}
+	fill := func(f *Frontier, v *SpVec) { // an engine's output pass
+		l := f.BeginOutput()
+		l.Reset(v.N)
+		for k, i := range v.Ind {
+			l.Append(i, v.Val[k])
+		}
+		native := rng.Intn(2) == 0
+		if native {
+			f.OutputBits(v.N).SetFrom(l)
+		}
+		f.FinishOutput(native)
+	}
+	for trial := 0; trial < 150; trial++ {
+		n := Index(1 + rng.Intn(300))
+		pool := NewFrontierPool(n)
+		want := vec(n, subset(n, rng.Float64()))
+		f := pool.GetOutput()
+		fill(f, want)
+		for read := 0; read < 6; read++ {
+			for chain := 1 + rng.Intn(8); chain > 0; chain-- {
+				y := operands[kinds[rng.Intn(len(kinds))]](n, want)
+				want = EwiseAdd(want, y, nil)
+				f.UnionInPlace(y)
+			}
+			label := fmt.Sprintf("trial %d read %d", trial, read)
+			before := FrontierSettledEntries()
+			if got := f.NNZ(); got != want.NNZ() {
+				t.Fatalf("%s: NNZ %d before any List, want %d", label, got, want.NNZ())
+			}
+			action := actions[rng.Intn(len(actions))]
+			label += " " + action
+			if len(f.queue) > 0 {
+				seen[action] = true
+			}
+			switch action {
+			case "List":
+			case "Bits": // the bitmap alone, before the list settles
+				if !f.HasBits() {
+					t.Fatalf("%s: accumulator lost its bitmap", label)
+				}
+				b := f.Bits()
+				if b.Count() != want.NNZ() || setBits(b) != want.NNZ() {
+					t.Fatalf("%s: bitmap counts %d (%d set), want %d", label, b.Count(), setBits(b), want.NNZ())
+				}
+				for k, i := range want.Ind {
+					if !b.Test(i) || math.Float64bits(b.Val[i]) != math.Float64bits(want.Val[k]) {
+						t.Fatalf("%s: bitmap entry %d is not the union's", label, i)
+					}
+				}
+				if FrontierSettledEntries() != before {
+					t.Fatalf("%s: NNZ or Bits settled the list", label)
+				}
+			case "UpdateValues":
+				fn := func(i Index, v float64) float64 { return v*0.5 - float64(i) }
+				f.UpdateValues(fn)
+				for k, i := range want.Ind {
+					want.Val[k] = fn(i, want.Val[k])
+				}
+			case "Refine":
+				fn := func(i Index, v float64) (float64, bool) { return v + 1, i%3 != 0 }
+				f.Refine(fn)
+				kept := NewSpVec(n, 0)
+				for k, i := range want.Ind {
+					if v, keep := fn(i, want.Val[k]); keep {
+						kept.Append(i, v)
+					}
+				}
+				want = kept
+			case "SetList":
+				want = vec(n, subset(n, rng.Float64()))
+				f.SetList(want.Clone())
+			case "BeginOutput":
+				want = vec(n, subset(n, rng.Float64()))
+				fill(f, want)
+			case "Release": // the pool hands the frontier out again, erased
+				f.Release()
+				want = vec(n, subset(n, rng.Float64()))
+				wrap := rng.Intn(2) == 0
+				if wrap {
+					f = pool.Wrap(want.Clone())
+				} else {
+					f = pool.GetOutput()
+				}
+				if f.bits != nil && setBits(f.bits) != 0 {
+					t.Fatalf("%s: recycled frontier keeps %d stale bits", label, setBits(f.bits))
+				}
+				if !wrap {
+					if f.NNZ() != 0 {
+						t.Fatalf("%s: recycled output frontier holds %d entries", label, f.NNZ())
+					}
+					fill(f, want)
+				}
+			}
+			settled(label, f, want)
+			if rng.Intn(2) == 0 {
+				f.Materialize()
+			}
+		}
+	}
+	for _, action := range actions {
+		if !seen[action] {
+			t.Errorf("second pass never ran %s on a frontier with queued entries", action)
+		}
+	}
+}
+
+// sameBits fails unless got equals want in Ind, the bits of Val and
+// Sorted.
+func sameBits(t *testing.T, label string, got, want *SpVec) {
+	t.Helper()
+	if got.Sorted != want.Sorted || !slices.Equal(got.Ind, want.Ind) {
+		t.Fatalf("%s: nnz %d sorted %v, want nnz %d sorted %v, or the indices differ",
+			label, got.NNZ(), got.Sorted, want.NNZ(), want.Sorted)
+	}
+	for k, v := range want.Val {
+		if math.Float64bits(got.Val[k]) != math.Float64bits(v) {
+			t.Fatalf("%s: entry %d is (%d, %v), want (%d, %v)", label, k, got.Ind[k], got.Val[k], want.Ind[k], v)
+		}
+	}
+}
+
+// setBits counts the bits actually set in b's words, which the cached
+// Count only tallies.
+func setBits(b *BitVec) int {
+	c := 0
+	for _, w := range b.Words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// TestFrontierConcurrentSettle shares one accumulator with queued union
+// entries across goroutines that call List, NNZ and Bits in different
+// orders: exactly one settles, and every reader sees the same settled
+// list, count and bitmap. Meaningful under -race.
+func TestFrontierConcurrentSettle(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const n = 2048
+	rvec := func(nnz int, sorted bool) *SpVec {
+		v := NewSpVec(n, nnz)
+		for range nnz {
+			v.Append(Index(rng.Intn(n)), rng.NormFloat64())
+		}
+		if sorted {
+			v = EwiseAdd(NewSpVec(n, 0), v, nil)
+		}
+		return v
+	}
+	for round := 0; round < 20; round++ {
+		want := rvec(100, true)
+		f := NewFrontier(want.Clone())
+		for range 4 {
+			y := rvec(200, false)
+			want = EwiseAdd(want, y, nil)
+			f.UnionInPlace(y)
+		}
+		if len(f.queue) == 0 {
+			t.Fatalf("round %d: no union entries queued", round)
+		}
+		start := make(chan struct{})
+		lists := make([]*SpVec, 8)
+		var wg sync.WaitGroup
+		for g := range lists {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := range 3 {
+					switch (g + k) % 3 {
+					case 0:
+						lists[g] = f.List()
+					case 1:
+						if got := f.NNZ(); got != want.NNZ() {
+							t.Errorf("round %d goroutine %d: NNZ %d, want %d", round, g, got, want.NNZ())
+						}
+					case 2:
+						if b := f.Bits(); b.Count() != want.NNZ() {
+							t.Errorf("round %d goroutine %d: bitmap counts %d, want %d", round, g, b.Count(), want.NNZ())
+						}
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, l := range lists {
+			if l != lists[0] {
+				t.Fatalf("round %d: goroutine %d read a different list", round, g)
+			}
+			sameBits(t, fmt.Sprintf("round %d goroutine %d", round, g), l, want)
 		}
 	}
 }

@@ -223,8 +223,11 @@ func (b *BitVec) setCount(n int) { b.nset = n }
 
 // ClearFrom erases exactly the bits set by a previous SetFrom(x) in
 // O(nnz(x)), so the bitvector can be reused without an O(n) wipe.
-func (b *BitVec) ClearFrom(x *SpVec) {
-	for _, i := range x.Ind {
+func (b *BitVec) ClearFrom(x *SpVec) { b.clear(x.Ind) }
+
+// clear erases the bits of the given indices in O(len(ind)).
+func (b *BitVec) clear(ind []Index) {
+	for _, i := range ind {
 		w, bit := int(i)>>6, uint(i)&63
 		if b.Words[w]&(1<<bit) != 0 {
 			b.nset--

@@ -64,7 +64,7 @@ func TestMeshBFSAllocations(t *testing.T) {
 	if lib > 1200 {
 		t.Errorf("BFSMasked allocates %.0f objects per BFS, want ≤ 1200", lib)
 	}
-	if invoke > 3000 {
-		t.Errorf("stored BFSProgram invoke allocates %.0f objects per BFS, want ≤ 3000", invoke)
+	if invoke > 2650 {
+		t.Errorf("stored BFSProgram invoke allocates %.0f objects per BFS, want ≤ 2650", invoke)
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	spmspv "spmspv"
 	"spmspv/internal/dataflow"
+	"spmspv/internal/graphgen"
 	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
 )
@@ -577,6 +578,16 @@ func TestProgramLoopInPlaceGuards(t *testing.T) {
 		Op: "loop", Carry: []string{"^0"}, Update: []string{"^0"}, MaxIters: 2,
 		Body: []spmspv.ProgramOp{{Op: "scale", XRef: "^0", Alpha: fptr(1)}},
 	}
+	// A walk on "m" feeds the unemitted accumulators below new indices
+	// and collisions, so each iteration's first op reads a list that is
+	// behind its bitmap. Its own rng leaves the other inputs as they were.
+	if err := st.Put("m", testutil.RandomCSC(rand.New(rand.NewSource(61)), n, n, 3)); err != nil {
+		t.Fatal(err)
+	}
+	step := spmspv.ProgramOp{Matrix: "m", XRef: "^1", Desc: spmspv.Desc{Semiring: "arithmetic"}, Emit: true}
+	maskedStep := step
+	maskedStep.MaskRef, maskedStep.Desc.Complement = "^0", true
+	accumulate := func(y string) spmspv.ProgramOp { return spmspv.ProgramOp{Op: "union", XRef: "^0", YRef: y} }
 	loops := map[string]spmspv.ProgramOp{
 		// The accumulator proper: it runs in place.
 		"accumulate": {Carry: []string{"$0", "$1"}, Update: []string{"$0", "^1"},
@@ -601,6 +612,14 @@ func TestProgramLoopInPlaceGuards(t *testing.T) {
 			Body: []spmspv.ProgramOp{passThrough, union("^0", "^1"), snapshot("$0")}},
 		"nestedAliasAsY": {Carry: []string{"$0", "$1"}, Update: []string{"$1", "^1"},
 			Body: []spmspv.ProgramOp{passThrough, union("^0", "$0")}},
+		// The accumulator runs in place and is read in the next iteration
+		// before its union: as a list, as a count and as a mask.
+		"unsettledList": {Carry: []string{"$0", "$1"}, Update: []string{"$2", "$1"},
+			Body: []spmspv.ProgramOp{snapshot("^0"), step, accumulate("$1")}},
+		"unsettledCount": {Carry: []string{"$0", "$1"}, Update: []string{"$2", "$1"},
+			Body: []spmspv.ProgramOp{{Op: "reduce", Reduce: "nnz", XRef: "^0", Emit: true}, step, accumulate("$1")}},
+		"unsettledMask": {Carry: []string{"$0", "$1"}, Update: []string{"$1", "$0"},
+			Body: []spmspv.ProgramOp{maskedStep, accumulate("$0")}},
 	}
 	const iters = 5
 	for name, loop := range loops {
@@ -717,6 +736,70 @@ func TestProgramLoopInPlaceGuards(t *testing.T) {
 			t.Fatalf("caller %d: %v", c, errs[c])
 		}
 		compareBFS(t, fmt.Sprintf("concurrent caller %d", c), results[c], spmspv.BFS(mu, spmspv.Index(c*13)))
+	}
+}
+
+// TestProgramBFSAccumulatorWork gates the accumulator's list work in a
+// stored BFS on the high-diameter mesh, where a level's discoveries are
+// few and the visited set is large. The visited set is read only as a
+// mask, so its unions queue their indices on the bitmap and the list is
+// never merged: the entries settling moves or writes must stay within 2
+// per visited vertex at every scale and source, on a Store and on a
+// 2-band sharded coordinator alike. A merge per level would move the
+// visited entries above each level's smallest new index, which grows
+// with the mesh: 31 to 128 per visited vertex here.
+func TestProgramBFSAccumulatorWork(t *testing.T) {
+	p, _ := graphgen.FindProblem("grid5-g3circuit")
+	for _, scale := range []int{13, 15} {
+		a := p.Build(scale)
+		n := a.NumCols
+		opts := []spmspv.Option{spmspv.WithThreads(2), spmspv.WithSortOutput(true)}
+		st := spmspv.NewStore(opts...)
+		hosts := map[string]spmspv.ServingStore{"store": st}
+		if scale == 13 {
+			hosts["sharded"] = newLocalSharded(t, 2, opts...)
+		}
+		for _, h := range hosts {
+			if err := h.Put("mesh", a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.PutProgram("bfs", spmspv.BFSProgram("mesh", int(n), nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu, err := st.Load("mesh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []spmspv.Index{0, n / 2} {
+			want := spmspv.BFS(mu, src)
+			inv := &spmspv.InvokeRequest{Args: map[string]*spmspv.Vector{"seed": bfsSeedVec(n, src)}}
+			for label, h := range hosts {
+				label = fmt.Sprintf("%s scale %d source %d", label, scale, src)
+				spmspv.ResetFrontierStats()
+				resp, err := h.Invoke("bfs", inv)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				settled := sparse.FrontierSettledEntries()
+				got, err := spmspv.DecodeBFSProgramResponse(resp, n, src, int(n))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				compareBFS(t, label, got, want)
+				visited := 0
+				for _, l := range got.Levels {
+					if l >= 0 {
+						visited++
+					}
+				}
+				t.Logf("%s: %d levels, %d visited, %d list entries settled", label, len(got.FrontierSizes), visited, settled)
+				if settled > int64(2*visited) {
+					t.Errorf("%s: settling moved or wrote %d list entries for %d visited vertices (%.1f each), want ≤ 2 each",
+						label, settled, visited, float64(settled)/float64(visited))
+				}
+			}
+		}
 	}
 }
 
