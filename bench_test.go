@@ -306,33 +306,50 @@ func BenchmarkMasked(b *testing.B) {
 }
 
 // BenchmarkHybrid evaluates the §V vector/matrix-driven switch across
-// thresholds on the full BFS frontier replay.
+// thresholds on the full BFS frontier replay of a graph on each side of
+// the switch: rmat-ljournal, whose dense middle levels the
+// matrix-driven side wins, and the trimesh-delaunay mesh, whose thin
+// frontiers it never does. hybrid-cost is the default engine, routed
+// by the cost rule.
 func BenchmarkHybrid(b *testing.B) {
-	a, frontiers, _ := fixtures()
-	run := func(b *testing.B, eng bench.Engine) {
-		mult := bench.ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
-		for _, x := range frontiers {
-			mult(x, semiring.MinSelect2nd)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, x := range frontiers {
+	lj, ljFrontiers, _ := fixtures()
+	p, _ := graphgen.FindProblem("trimesh-delaunay")
+	mesh := p.Build(benchScale)
+	graphs := []struct {
+		name      string
+		a         *sparse.CSC
+		frontiers []*sparse.SpVec
+	}{
+		{"rmat-ljournal", lj, ljFrontiers},
+		{"trimesh-delaunay", mesh, bench.CaptureFrontiers(mesh, 0)},
+	}
+	for _, g := range graphs {
+		a := g.a
+		run := func(b *testing.B, eng bench.Engine) {
+			mult := bench.ListMult(eng, a, sparse.NewOutputFrontier(a.NumRows))
+			for _, x := range g.frontiers {
 				mult(x, semiring.MinSelect2nd)
 			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, x := range g.frontiers {
+					mult(x, semiring.MinSelect2nd)
+				}
+			}
 		}
-	}
-	b.Run("bucket-only", func(b *testing.B) {
-		run(b, bench.AllEngines()[0].Build(a, benchThreads))
-	})
-	b.Run("graphmat-only", func(b *testing.B) {
-		run(b, bench.AllEngines()[3].Build(a, benchThreads))
-	})
-	for _, th := range []float64{0.05, 0.25} {
-		b.Run(fmt.Sprintf("hybrid-%.2f", th), func(b *testing.B) {
-			run(b, bench.HybridSpec(th).Build(a, benchThreads))
+		b.Run(g.name+"/bucket-only", func(b *testing.B) {
+			run(b, bench.AllEngines()[0].Build(a, benchThreads))
+		})
+		b.Run(g.name+"/graphmat-only", func(b *testing.B) {
+			run(b, bench.AllEngines()[3].Build(a, benchThreads))
+		})
+		for _, th := range []float64{0.05, 0.25} {
+			b.Run(fmt.Sprintf("%s/hybrid-%.2f", g.name, th), func(b *testing.B) {
+				run(b, bench.HybridSpec(th).Build(a, benchThreads))
+			})
+		}
+		b.Run(g.name+"/hybrid-cost", func(b *testing.B) {
+			run(b, bench.HybridSpec(0).Build(a, benchThreads))
 		})
 	}
-	b.Run("hybrid-calibrated", func(b *testing.B) {
-		run(b, bench.HybridSpec(0).Build(a, benchThreads))
-	})
 }

@@ -23,9 +23,9 @@
 // the multiply and pipelines each level's output frontier back as the
 // next input.
 //
-// The hybrid engine's calibrated switch threshold is cached on disk
-// per matrix fingerprint (-calibration-cache, default under the user
-// cache dir); -recalibrate forces the probe multiplies to re-run.
+// The hybrid engine routes each multiply by the paper's cost rule, its
+// flops against the matrix's nonempty columns, so a run with -engine
+// hybrid takes the same directions on every host.
 package main
 
 import (
@@ -90,10 +90,6 @@ func main() {
 		sourcesStr = flag.String("sources", "", "comma-separated source vertices (multibfs, multicluster); empty = 4 spread from -source")
 		threads    = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		topK       = flag.Int("top", 10, "entries to print for ranked outputs")
-		cachePath  = flag.String("calibration-cache", spmspv.DefaultCalibrationCachePath(),
-			"hybrid threshold cache file (empty disables persistence)")
-		recalibrate = flag.Bool("recalibrate", false,
-			"re-run hybrid threshold calibration even on a cache hit")
 	)
 	flag.Parse()
 	if *matrixPath == "" {
@@ -114,7 +110,6 @@ func main() {
 		spmspv.WithAlgorithm(alg),
 		spmspv.WithThreads(*threads),
 		spmspv.WithSortOutput(true),
-		spmspv.WithCalibrationCache(*cachePath, *recalibrate),
 	)
 	if err := st.PutFile("graph", *matrixPath); err != nil {
 		fatal("reading matrix: %v", err)

@@ -107,10 +107,6 @@ func main() {
 		batch = flag.Int("batch-size", 8, "max requests per coalesced MultBatch (≤1 disables)")
 		wire  = flag.String("wire", "json",
 			"default response wire form (json, binary) when a request has no Accept preference")
-		cachePath = flag.String("calibration-cache", spmspv.DefaultCalibrationCachePath(),
-			"hybrid threshold cache file (empty disables persistence)")
-		recalibrate = flag.Bool("recalibrate", false,
-			"re-run hybrid threshold calibration even on a cache hit")
 		maxBitmap = flag.Int64("max-bitmap-dim", 0,
 			"largest bitmap (mask) dimension request decoding will materialize (0 = built-in default)")
 		shards = flag.String("shards", "",
@@ -129,6 +125,10 @@ func main() {
 			"per-probe deadline for one worker health check (coordinator mode)")
 	)
 	flag.Var(&pre, "preload", "name=path matrix to load at boot (repeatable)")
+	// Accepted so existing command lines keep working: the hybrid
+	// engine's switch is a cost rule with no threshold to calibrate.
+	flag.String("calibration-cache", "", "ignored; accepted for existing command lines")
+	flag.Bool("recalibrate", false, "ignored; accepted for existing command lines")
 	flag.Parse()
 
 	alg, ok := spmspv.ParseAlgorithm(*engName)
@@ -158,7 +158,6 @@ func main() {
 		spmspv.WithAlgorithm(alg),
 		spmspv.WithThreads(*threads),
 		spmspv.WithSortOutput(true),
-		spmspv.WithCalibrationCache(*cachePath, *recalibrate),
 	}
 
 	var backend spmspv.ServingStore
@@ -214,8 +213,7 @@ func main() {
 			} else if err := store.PutFile(p.name, p.path); err != nil {
 				log.Fatalf("spmspv-serve: preloading %s: %v", p.name, err)
 			}
-			// Build the engine (and any hybrid calibration) at boot rather
-			// than on the first request.
+			// Build the engine at boot rather than on the first request.
 			mu, err := store.Load(p.name)
 			if err != nil {
 				log.Fatalf("spmspv-serve: building engine for %s: %v", p.name, err)

@@ -28,10 +28,6 @@ func main() {
 		algName    = flag.String("algorithm", "bucket", strings.Join(spmspv.EngineNames(), ", "))
 		srName     = flag.String("semiring", "arithmetic", strings.Join(spmspv.SemiringNames(), ", "))
 		threads    = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		cachePath  = flag.String("calibration-cache", spmspv.DefaultCalibrationCachePath(),
-			"hybrid threshold cache file (empty disables persistence)")
-		recalibrate = flag.Bool("recalibrate", false,
-			"re-run hybrid threshold calibration even on a cache hit")
 	)
 	flag.Parse()
 	if *matrixPath == "" || *vectorPath == "" {
@@ -56,7 +52,6 @@ func main() {
 		spmspv.WithAlgorithm(alg),
 		spmspv.WithThreads(*threads),
 		spmspv.WithSortOutput(true),
-		spmspv.WithCalibrationCache(*cachePath, *recalibrate),
 	)
 	if err := st.PutFile("matrix", *matrixPath); err != nil {
 		fatal("reading matrix: %v", err)

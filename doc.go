@@ -21,9 +21,10 @@
 // evaluates (CombBLAS-SPA, CombBLAS-heap, GraphMat's matrix-driven
 // scheme, and the GPU-style sort-based scheme) are faithfully
 // reimplemented and selectable, and the §V direction-switch extension
-// is a first-class Hybrid engine that picks a side per call on input
-// density, with a threshold calibrated from probe multiplies at
-// construction (Options.HybridThreshold pins it instead).
+// is a first-class Hybrid engine that picks a side per call by the
+// paper's cost rule: matrix-driven iff the call's flops reach a fixed
+// multiple of the matrix's nonempty columns (Options.HybridThreshold
+// pins a density threshold instead).
 //
 // # Quick start
 //
@@ -91,7 +92,7 @@
 // A Store (NewStore) is the registry of named matrices: Put/PutFile
 // register, Load lazily builds and caches ONE shared Multiplier per
 // matrix — legal because of the concurrency contract below — so every
-// request reuses its engine and calibrated hybrid threshold.
+// request reuses its engine.
 // Matrices travel in three encodings (Matrix Market, a JSON wire form,
 // a compact binary form), sniffed by one decoder, so they can be
 // uploaded, not just preloaded from disk.

@@ -64,8 +64,9 @@ func Ablation(w io.Writer, cfg Config) {
 }
 
 // HybridSpec builds the registered Hybrid engine (internal/hybrid) at
-// a fixed switch threshold; threshold 0 asks for construction-time
-// calibration, exactly as the registry constructor does.
+// a fixed switch threshold; threshold 0 builds the default engine,
+// which routes by the cost rule, exactly as the registry constructor
+// does.
 func HybridSpec(threshold float64) EngineSpec {
 	return EngineSpec{Name: "Hybrid", Build: func(a *sparse.CSC, t int) Engine {
 		if threshold == 0 {
@@ -81,7 +82,8 @@ func HybridSpec(threshold float64) EngineSpec {
 
 // Hybrid evaluates the §V direction-switch extension with the
 // registered Hybrid engine: BFS SpMSpV time for bucket-only,
-// GraphMat-only, the calibrated hybrid, and a threshold sweep.
+// GraphMat-only, the default hybrid (the cost rule), and a threshold
+// sweep.
 // Matrix-driven call counts come from the engines'
 // DirectionSwitches counter.
 func Hybrid(w io.Writer, cfg Config) {
@@ -100,11 +102,8 @@ func Hybrid(w io.Writer, cfg Config) {
 	m = TimeBFS(gm, a, frontiers, tmax, cfg.Reps)
 	tbl.AddRow("GraphMat only", "-", Ms(m.Elapsed), fmt.Sprint(len(frontiers)))
 
-	calibrated := HybridSpec(0)
-	eng := calibrated.Build(a, tmax).(*hybrid.Engine)
-	fixed := HybridSpec(eng.Threshold()) // reuse the learned threshold across reps
-	m = TimeBFS(fixed, a, frontiers, tmax, cfg.Reps)
-	tbl.AddRow("hybrid (calibrated)", fmt.Sprintf("%.4f", eng.Threshold()),
+	m = TimeBFS(HybridSpec(0), a, frontiers, tmax, cfg.Reps)
+	tbl.AddRow("hybrid (cost rule)", fmt.Sprintf("flops>=%g*nzc", hybrid.Kappa),
 		Ms(m.Elapsed), fmt.Sprint(m.Work.DirectionSwitches))
 
 	for _, th := range []float64{0.01, 0.05, 0.1, 0.25} {

@@ -140,10 +140,11 @@ func TestHybridSpecUsesRegisteredEngine(t *testing.T) {
 		t.Error("hybrid result differs from bucket result")
 	}
 
-	// Threshold 0 asks the registry path for calibration.
-	cal := HybridSpec(0).Build(a, 2).(*hybrid.Engine)
-	if th := cal.Threshold(); !(th > 0 && th <= 1) {
-		t.Errorf("HybridSpec(0) should build a calibrated engine, threshold %g outside (0, 1]", th)
+	// Threshold 0 builds the registry's default engine, which routes by
+	// the cost rule and so pins no density threshold.
+	def := HybridSpec(0).Build(a, 2).(*hybrid.Engine)
+	if th := def.Threshold(); th != 0 {
+		t.Errorf("HybridSpec(0) should build the cost-rule engine, threshold %g", th)
 	}
 }
 

@@ -78,27 +78,13 @@ type Options struct {
 	SplitEvenly bool
 
 	// HybridThreshold tunes the Hybrid engine's per-call direction
-	// switch: the matrix-driven side runs when nnz(x)/n reaches the
-	// threshold. Zero (the default) asks construction to calibrate the
-	// threshold from a few probe multiplies on the bound matrix; a
-	// negative value pins the vector-driven side (never switch). The
-	// other engines ignore this field.
+	// switch. Zero (the default) selects the cost rule: the
+	// matrix-driven side runs when the call's flops reach hybrid.Kappa
+	// times the matrix's nonempty columns. A positive value pins a
+	// density threshold instead (the matrix-driven side runs when
+	// nnz(x)/n reaches it), and a negative value pins the vector-driven
+	// side (never switch). The other engines ignore this field.
 	HybridThreshold float64
-
-	// CalibrationCache, when non-empty, is the path of an on-disk JSON
-	// cache of calibrated hybrid thresholds keyed by a matrix
-	// fingerprint (dimensions, nonzero count, column-degree sketch).
-	// Construction with HybridThreshold == 0 first consults the cache —
-	// a hit skips the probe multiplies entirely — and stores a freshly
-	// calibrated threshold back on a miss. Empty (the default) disables
-	// persistence; the other engines ignore this field.
-	CalibrationCache string
-
-	// Recalibrate forces calibration to re-run its probe multiplies
-	// even when CalibrationCache holds a threshold for the matrix; the
-	// fresh result overwrites the cached entry (the CLIs' -recalibrate
-	// knob).
-	Recalibrate bool
 }
 
 // WithDefaults resolves zero values to the paper's defaults.

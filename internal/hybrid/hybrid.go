@@ -1,17 +1,18 @@
 // Package hybrid implements the paper's §V direction-switch extension
 // as a first-class registered engine: per call it routes the multiply
 // to the vector-driven SpMSpV-bucket algorithm (internal/core) or the
-// matrix-driven GraphMat algorithm (internal/baselines) depending on
-// input density — the SpMSpV analogue of Beamer's direction-optimizing
-// BFS ("we will investigate when and if it is beneficial to switch to
-// a matrix-driven algorithm", §V).
+// matrix-driven GraphMat algorithm (internal/baselines) — the SpMSpV
+// analogue of Beamer's direction-optimizing BFS ("we will investigate
+// when and if it is beneficial to switch to a matrix-driven
+// algorithm", §V).
 //
-// The switch point is the fraction of columns that must be active
-// before the matrix-driven side runs. It comes from
-// Options.HybridThreshold, or — when that is zero — from a calibration
-// routine that times a few probe multiplies on the bound matrix at
-// construction (see calibrate.go), so the engine adapts to the matrix
-// and host rather than shipping a magic constant.
+// By default the switch is the paper's cost model (Table I): the
+// bucket side does O(flops) work per call, GraphMat does O(nzc + flops)
+// because it scans every nonempty column, so a call runs matrix-driven
+// iff its flops reach Kappa·nzc(A). The rule reads only counts of A and
+// x, so routing is a pure function of (A, x): every engine built on the
+// same matrix, on any host, routes every call the same way.
+// Options.HybridThreshold pins a density threshold instead.
 //
 // Both sides are the registry's own slot-pinned, race-safe engines
 // (see par.Slots), so one hybrid engine is safe for concurrent
@@ -31,6 +32,12 @@ import (
 	"spmspv/internal/sparse"
 )
 
+// Kappa is the cost rule's crossover in flops per nonempty column of A:
+// a call with flops(x) ≥ Kappa·nzc(A) runs matrix-driven.
+// BenchmarkHybridCrossover measures it (EXPERIMENTS.md) on two meshes
+// and two R-MAT graphs at t = 2; it is not measured at more threads.
+const Kappa = 0.5
+
 // The hybrid engine registers itself under engine.Hybrid; importing
 // this package is what makes it constructible through the registry.
 func init() {
@@ -46,88 +53,77 @@ func init() {
 type Engine struct {
 	bucket *core.Multiplier
 	matrix *baselines.GraphMat
+	a      *sparse.CSC
+	// costRule routes by flops(x) ≥ minFlops = Kappa·nzc(A). Otherwise
 	// threshold is the nnz(x)/n fraction at or above which the
 	// matrix-driven side runs; +Inf pins the vector-driven side.
-	threshold  float64
-	calibrated bool
-	fromCache  bool
-	n          sparse.Index
+	costRule  bool
+	minFlops  int64
+	threshold float64
 
 	switches atomic.Int64
 }
 
-// New builds both sides and resolves the switch threshold from opt:
-// positive is used as-is, zero asks for calibration from probe
-// multiplies, negative pins the vector-driven side. The bucket side is
-// forced to sorted output so both directions produce the same format.
+// New builds both sides and resolves the switch from
+// opt.HybridThreshold: zero selects the cost rule, positive pins that
+// density threshold, negative pins the vector-driven side. The bucket
+// side is forced to sorted output so both directions produce the same
+// format.
 func New(a *sparse.CSC, opt engine.Options) *Engine {
-	th := opt.HybridThreshold
-	if th < 0 {
-		th = math.Inf(1)
-	}
-	bopt := opt
-	bopt.SortOutput = true
-	h := &Engine{
-		bucket:    core.NewMultiplier(a, bopt),
-		matrix:    baselines.NewGraphMat(a, opt.Threads),
-		threshold: th,
-		n:         a.NumCols,
-	}
+	h := NewWithThreshold(a, opt, opt.HybridThreshold)
 	if opt.HybridThreshold == 0 {
-		fp := ""
-		if opt.CalibrationCache != "" {
-			fp = Fingerprint(a)
-			if !opt.Recalibrate {
-				if th, ok := loadThreshold(opt.CalibrationCache, fp); ok {
-					h.threshold = th
-					h.calibrated = true
-					h.fromCache = true
-					return h
-				}
-			}
-		}
-		h.threshold = calibrate(h.bucket, h.matrix, a)
-		h.calibrated = true
-		// Probe multiplies must not leak into the caller's work
-		// accounting.
-		h.ResetCounters()
-		if fp != "" {
-			// Best-effort persistence: a read-only or broken cache
-			// location must not fail engine construction.
-			_ = storeThreshold(opt.CalibrationCache, fp, h.threshold)
-		}
+		h.costRule = true
+		h.minFlops = int64(math.Ceil(Kappa * float64(a.NZC())))
 	}
 	return h
 }
 
 // NewWithThreshold builds a hybrid engine with the given literal
 // threshold — including 0, which routes every call to the
-// matrix-driven side (the registry constructor treats 0 as "calibrate"
-// instead). A negative threshold pins the vector-driven side, the same
-// meaning it has on Options.HybridThreshold. Intended for sweeps and
-// tests.
+// matrix-driven side (the registry constructor treats 0 as the cost
+// rule instead). A negative threshold pins the vector-driven side, the
+// same meaning it has on Options.HybridThreshold. Intended for sweeps
+// and tests.
 func NewWithThreshold(a *sparse.CSC, opt engine.Options, threshold float64) *Engine {
-	opt.HybridThreshold = -1 // suppress calibration; overwritten below
-	h := New(a, opt)
 	if threshold < 0 {
 		threshold = math.Inf(1)
 	}
-	h.threshold = threshold
-	h.calibrated = false
-	return h
+	bopt := opt
+	bopt.SortOutput = true
+	return &Engine{
+		bucket:    core.NewMultiplier(a, bopt),
+		matrix:    baselines.NewGraphMat(a, opt.Threads),
+		a:         a,
+		threshold: threshold,
+	}
 }
 
-// Threshold returns the active switch threshold (nnz(x)/n fraction).
+// Threshold returns the pinned switch threshold (nnz(x)/n fraction);
+// it reads 0 under the cost rule, which routes by flops instead.
 func (h *Engine) Threshold() float64 { return h.threshold }
 
-// matrixDriven reports whether an input with f nonzeros takes the
-// matrix-driven side.
-func (h *Engine) matrixDriven(f int) bool {
-	return float64(f) >= h.threshold*float64(h.n)
+// matrixDriven reports whether x takes the matrix-driven side. The
+// cost rule sums x's flops over its list, the vector-driven side's own
+// input, and stops once they reach Kappa·nzc(A), so routing costs at
+// most O(nnz(x)). Reading the list settles an in-place accumulator
+// whose merge is still pending (sparse.Frontier.UnionInPlace). A pinned
+// threshold compares nnz(x)/n with it and reads no list.
+func (h *Engine) matrixDriven(x *sparse.Frontier) bool {
+	if !h.costRule {
+		return float64(x.NNZ()) >= h.threshold*float64(h.a.NumCols)
+	}
+	var flops int64
+	for _, j := range x.List().Ind {
+		if flops >= h.minFlops {
+			break
+		}
+		flops += h.a.ColLen(j)
+	}
+	return flops >= h.minFlops
 }
 
 // Multiply computes y ← ⟨A·x, mask⟩ into the output frontier,
-// dispatching on input density and reading only the representation the
+// dispatching on the switch and reading only the representation the
 // chosen direction needs: the list for the bucket side, the shared
 // bitmap (materialized at most once per frontier) for the matrix side.
 // Both sides push the mask down and, with bitmap set, emit list+bitmap
@@ -135,7 +131,7 @@ func (h *Engine) matrixDriven(f int) bool {
 // pipeline conversion-free: a dense level's output bitmap is exactly
 // what the next dense level's matrix-driven input side wants.
 func (h *Engine) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *sparse.BitVec, complement, bitmap bool) {
-	if h.matrixDriven(x.NNZ()) {
+	if h.matrixDriven(x) {
 		h.switches.Add(1)
 		h.matrix.Multiply(x, y, sr, mask, complement, bitmap)
 		return
@@ -144,9 +140,9 @@ func (h *Engine) Multiply(x, y *sparse.Frontier, sr semiring.Semiring, mask *spa
 }
 
 // MultiplyBatch computes ys[q] ← ⟨A·xs[q], masks[q]⟩, routing each slot
-// by its own density: dense slots run the matrix-driven side one at a
-// time, the sparse remainder runs the bucket engine's batched multiply
-// (one shared Estimate pass), with each slot's mask pushed down on
+// on its own: matrix-driven slots run the matrix-driven side one at a
+// time, the remainder runs the bucket engine's batched multiply (one
+// shared Estimate pass), with each slot's mask pushed down on
 // whichever side the slot takes.
 func (h *Engine) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, masks []*sparse.BitVec, complement, bitmap bool) {
 	var bxs, bys []*sparse.Frontier
@@ -156,7 +152,7 @@ func (h *Engine) MultiplyBatch(xs, ys []*sparse.Frontier, sr semiring.Semiring, 
 		if masks != nil {
 			mask = masks[q]
 		}
-		if h.matrixDriven(xs[q].NNZ()) {
+		if h.matrixDriven(xs[q]) {
 			h.switches.Add(1)
 			h.matrix.Multiply(xs[q], ys[q], sr, mask, complement, bitmap)
 			continue

@@ -1,12 +1,17 @@
 package hybrid
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"spmspv/internal/algorithms"
 	"spmspv/internal/baselines"
+	"spmspv/internal/core"
 	"spmspv/internal/engine"
+	"spmspv/internal/graphgen"
 	"spmspv/internal/semiring"
 	"spmspv/internal/sparse"
 	"spmspv/internal/testutil"
@@ -18,7 +23,7 @@ func opt(threads int) engine.Options {
 
 // TestRegistryConstruction verifies the promotion contract: Hybrid is
 // in the registry, constructible through engine.New, named, and
-// calibrated when no threshold is given.
+// routed by the cost rule when no threshold is given.
 func TestRegistryConstruction(t *testing.T) {
 	found := false
 	for _, alg := range engine.Registered() {
@@ -40,11 +45,8 @@ func TestRegistryConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := e.(*Engine)
-	if !h.calibrated {
-		t.Error("zero HybridThreshold should trigger calibration")
-	}
-	if th := h.Threshold(); !(th > 0 && th <= 1) {
-		t.Errorf("calibrated threshold %g outside (0, 1]", th)
+	if !h.costRule || h.Threshold() != 0 {
+		t.Errorf("zero HybridThreshold should select the cost rule: costRule=%v th=%g", h.costRule, h.Threshold())
 	}
 
 	// An explicit threshold is honored verbatim.
@@ -52,8 +54,8 @@ func TestRegistryConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := e.(*Engine); h.calibrated || h.Threshold() != 0.25 {
-		t.Errorf("explicit threshold: calibrated=%v th=%g", h.calibrated, h.Threshold())
+	if h := e.(*Engine); h.costRule || h.Threshold() != 0.25 {
+		t.Errorf("explicit threshold: costRule=%v th=%g", h.costRule, h.Threshold())
 	}
 
 	// A negative threshold pins the vector-driven side.
@@ -63,6 +65,87 @@ func TestRegistryConstruction(t *testing.T) {
 	testutil.Multiply(h, x, y, semiring.Arithmetic)
 	if h.Counters().DirectionSwitches != 0 {
 		t.Error("pinned engine took the matrix-driven path")
+	}
+}
+
+// TestCostRule pins the default switch to flops, not entries: one entry
+// on a column of degree ⌈Kappa·nzc⌉ runs matrix-driven, and more
+// entries whose flops fall one short of that run vector-driven.
+func TestCostRule(t *testing.T) {
+	const n = 200
+	bound := sparse.Index(math.Ceil(Kappa * n)) // every column is nonempty
+	tr := sparse.NewTriples(n, n, 2*n)
+	for i := sparse.Index(0); i < bound; i++ {
+		tr.Append(i, 0, 1)
+	}
+	for j := sparse.Index(1); j < n; j++ {
+		tr.Append(j, j, 1)
+	}
+	a, err := sparse.NewCSCFromTriples(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light := make([]sparse.Index, 0, bound-1)
+	for j := sparse.Index(1); j < bound; j++ {
+		light = append(light, j)
+	}
+	h := New(a, opt(2))
+	for _, c := range []struct {
+		name   string
+		x      *sparse.SpVec
+		matrix bool
+	}{
+		{"one heavy column", testutil.VectorWithIndices(n, 0), true},
+		{"light columns", testutil.VectorWithIndices(n, light...), false},
+	} {
+		before := h.switches.Load()
+		y := sparse.NewSpVec(0, 0)
+		testutil.Multiply(h, c.x, y, semiring.Arithmetic)
+		if got := h.switches.Load() > before; got != c.matrix {
+			t.Errorf("%s (nnz %d): matrix-driven = %v, want %v", c.name, c.x.NNZ(), got, c.matrix)
+		}
+		if !y.EqualValues(baselines.Reference(a, c.x, semiring.Arithmetic), 0) {
+			t.Errorf("%s: result differs from oracle", c.name)
+		}
+	}
+}
+
+// TestRoutingIsDeterministic builds the default engine five times on
+// each of two meshes and replays one BFS's frontiers, then inputs grown
+// across the switch (flops/nzc from 1/64 to 4), through every build:
+// every build must route every input the same way.
+func TestRoutingIsDeterministic(t *testing.T) {
+	for _, name := range []string{"trimesh-delaunay", "grid5-g3circuit"} {
+		p, _ := graphgen.FindProblem(name)
+		a := p.Build(13)
+		frontiers := algorithms.BFS(core.NewMultiplier(a, core.Options{SortOutput: true}),
+			a.NumCols, 0, true).Frontiers
+		perm := rand.New(rand.NewSource(1)).Perm(int(a.NumCols))
+		for e := -6; e <= 2; e++ {
+			x, _ := growX(a, perm, int64(math.Ldexp(float64(a.NZC()), e)))
+			frontiers = append(frontiers, x)
+		}
+		var first []bool
+		var firstSwitches int64
+		for build := 0; build < 5; build++ {
+			h := New(a, opt(2))
+			routes := make([]bool, len(frontiers))
+			y := sparse.NewSpVec(0, 0)
+			for l, x := range frontiers {
+				before := h.switches.Load()
+				testutil.Multiply(h, x, y, semiring.MinSelect2nd)
+				routes[l] = h.switches.Load() > before
+			}
+			switches := h.Counters().DirectionSwitches
+			if build == 0 {
+				first, firstSwitches = routes, switches
+				continue
+			}
+			if !slices.Equal(routes, first) || switches != firstSwitches {
+				t.Errorf("%s build %d: routed %d of %d inputs matrix-driven, build 0 routed %d",
+					name, build, switches, len(frontiers), firstSwitches)
+			}
+		}
 	}
 }
 

@@ -643,6 +643,8 @@ type shardCall struct {
 	req  *Request
 	resp *Response
 	err  error
+	// replica is the replica whose error err holds.
+	replica int
 }
 
 // retryableShardErr classifies shard-call failures. Transport faults
@@ -688,28 +690,21 @@ func (ss *ShardedStore) call(w, r int, req *Request) (*Response, error) {
 func (ss *ShardedStore) tryReplicas(c *shardCall, view cluster.View, stats *perf.ServeStats) {
 	g := ss.rgroups[c.band]
 	order := g.Order(view)
-	var lastErr error
 	for k, r := range order {
 		t := time.Now()
 		resp, err := ss.call(c.band, r, c.req)
 		rs := ss.replStats[c.band][r]
 		rs.Observe(time.Since(t), err != nil)
 		ss.reportOutcome(c.band, r, err)
-		if err == nil {
-			c.resp, c.err = resp, nil
-			return
-		}
-		if !retryableShardErr(err) {
-			c.err = err
+		c.resp, c.err, c.replica = resp, err, r
+		if err == nil || !retryableShardErr(err) {
 			return
 		}
 		if k < len(order)-1 {
 			rs.ObserveFailovers(1)
 			stats.ObserveFailovers(1)
 		}
-		lastErr = err
 	}
-	c.err = lastErr
 }
 
 // dispatch executes every band call in parallel on the executor — one
@@ -745,7 +740,7 @@ func (ss *ShardedStore) dispatch(calls []*shardCall, stats *perf.ServeStats) err
 			if attempt >= ss.attempts || !retryableShardErr(c.err) {
 				we := AsWireError(c.err)
 				return wireErrorf(we.Code, "shard %d (%s): %s",
-					c.band, ss.labels[c.band][0], we.Message)
+					c.band, ss.labels[c.band][c.replica], we.Message)
 			}
 			retry = append(retry, c)
 		}

@@ -2,6 +2,7 @@ package spmspv_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	spmspv "spmspv"
+	"spmspv/internal/hybrid"
 	"spmspv/internal/testutil"
 )
 
@@ -196,6 +198,133 @@ func TestReplicaAllDead(t *testing.T) {
 		X:    testutil.RandomVector(rng, a.NumCols, 8, true),
 		Desc: spmspv.Desc{Semiring: "arithmetic"}}); err != nil {
 		t.Fatalf("after revival: %v", err)
+	}
+}
+
+// TestShardErrorNamesFailedReplica checks that a failed band call is
+// reported under the label of the replica whose error it carries, not
+// the band's first replica's: with both replicas down the error is the
+// last one tried, and a non-retryable error from replica B behind a
+// down replica A is B's.
+func TestShardErrorNamesFailedReplica(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	a := testutil.RandomCSC(rng, 60, 60, 3)
+	opts := []spmspv.Option{spmspv.WithEngineOptions(engineOptions(1))}
+	invalid := &spmspv.WireError{Code: spmspv.CodeInvalidRequest, Message: "rejected (injected)"}
+	for _, c := range []struct {
+		name  string
+		bFail error
+	}{
+		{"both down", nil},
+		{"A down, B rejects", invalid},
+	} {
+		rA := &flakyBackend{inner: spmspv.NewStore(opts...)}
+		rB := &flakyBackend{inner: spmspv.NewStore(opts...), fail: c.bFail}
+		ss, err := spmspv.NewShardedStore([]spmspv.ShardBackend{rA, rB},
+			spmspv.WithReplication(2),
+			spmspv.WithShardRetries(0),
+			spmspv.WithShardLabels([]string{"replica-A", "replica-B"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Put("g", a); err != nil {
+			t.Fatal(err)
+		}
+		rA.down.Store(true)
+		rB.down.Store(true)
+		_, err = ss.Do(&spmspv.Request{Matrix: "g",
+			X:    testutil.RandomVector(rng, a.NumCols, 8, true),
+			Desc: spmspv.Desc{Semiring: "arithmetic"}})
+		if rA.calls.Load() != 1 || rB.calls.Load() != 1 {
+			t.Fatalf("%s: replica calls A=%d B=%d, want 1 each", c.name, rA.calls.Load(), rB.calls.Load())
+		}
+		if err == nil || !strings.Contains(err.Error(), "shard 0 (replica-B)") {
+			t.Fatalf("%s: got %v, want an error naming shard 0 (replica-B)", c.name, err)
+		}
+		ss.Close()
+	}
+}
+
+// TestReplicaHybridBitIdentical sends an unsorted float x whose flops
+// sit at the Hybrid engine's switch through a 1-band × 2-replica
+// coordinator of default Hybrid stores. The two sides of the switch add
+// an unsorted x's products in different orders, so the answer is
+// bit-identical to an unsharded Hybrid Store's, with replica 0 up and
+// again with it down, only if every store routes x the same way.
+func TestReplicaHybridBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	a := testutil.RandomCSC(rng, 2000, 2000, 8)
+	opts := []spmspv.Option{spmspv.WithAlgorithm(spmspv.Hybrid), spmspv.WithThreads(2), spmspv.WithSortOutput(true)}
+
+	// x takes columns in random order until its flops reach the switch.
+	minFlops := int64(math.Ceil(hybrid.Kappa * float64(a.NZC())))
+	x := spmspv.NewVector(a.NumCols, 0)
+	var flops int64
+	for _, j := range rng.Perm(int(a.NumCols)) {
+		if flops >= minFlops {
+			break
+		}
+		x.Append(spmspv.Index(j), rng.Float64()*2-1)
+		flops += a.ColLen(spmspv.Index(j))
+	}
+	x.Sorted = false
+	req := func() *spmspv.Request {
+		return &spmspv.Request{Matrix: "g", X: x, Desc: spmspv.Desc{Semiring: "arithmetic"}}
+	}
+	do := func(b spmspv.Executor) *spmspv.Vector {
+		t.Helper()
+		resp, err := b.Do(req())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Y
+	}
+	sameBits := func(got, want *spmspv.Vector) bool {
+		if got.N != want.N || got.Sorted != want.Sorted || len(got.Ind) != len(want.Ind) {
+			return false
+		}
+		for k := range want.Ind {
+			if got.Ind[k] != want.Ind[k] || math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	store := func(o ...spmspv.Option) *spmspv.Store {
+		st := spmspv.NewStore(o...)
+		if err := st.Put("g", a); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	vector := do(store(spmspv.WithAlgorithm(spmspv.Bucket), spmspv.WithThreads(2), spmspv.WithSortOutput(true)))
+	matrix := do(store(spmspv.WithAlgorithm(spmspv.GraphMat), spmspv.WithThreads(2)))
+	if sameBits(vector, matrix) {
+		t.Fatal("x does not separate the two sides of the switch; the test proves nothing")
+	}
+	want := do(store(opts...))
+
+	r0 := &flakyBackend{inner: store(opts...)}
+	r1 := &flakyBackend{inner: store(opts...)}
+	ss, err := spmspv.NewShardedStore([]spmspv.ShardBackend{r0, r1},
+		spmspv.WithReplication(2), spmspv.WithShardRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if err := ss.Put("g", a); err != nil {
+		t.Fatal(err)
+	}
+	if got := do(ss); !sameBits(got, want) {
+		t.Fatal("replica 0 up: coordinator answer differs in bits from the unsharded store's")
+	}
+	r0.down.Store(true)
+	if got := do(ss); !sameBits(got, want) {
+		t.Fatal("replica 0 down: replica 1's answer differs in bits from the unsharded store's")
+	}
+	if r1.calls.Load() == 0 {
+		t.Fatal("replica 1 never served")
 	}
 }
 

@@ -273,17 +273,22 @@ func TestShardedDiscovery(t *testing.T) {
 }
 
 // flakyBackend wraps a ShardBackend and fails Do calls while `down` is
-// set — the shard-death stand-in. It deliberately does NOT implement
-// DoContext, so the coordinator exercises the plain-Do fallback path.
+// set — the shard-death stand-in, or with fail when that is set. It
+// deliberately does NOT implement DoContext, so the coordinator
+// exercises the plain-Do fallback path.
 type flakyBackend struct {
 	inner spmspv.ShardBackend
 	down  atomic.Bool
 	calls atomic.Int64
+	fail  error
 }
 
 func (f *flakyBackend) Do(req *spmspv.Request) (*spmspv.Response, error) {
 	f.calls.Add(1)
 	if f.down.Load() {
+		if f.fail != nil {
+			return nil, f.fail
+		}
 		return nil, &spmspv.WireError{Code: spmspv.CodeInternal, Message: "shard killed (injected)"}
 	}
 	return f.inner.Do(req)

@@ -16,12 +16,10 @@ import (
 
 	// The engine implementations register themselves with the
 	// internal/engine registry from init; importing them is what makes
-	// every Algorithm constructible through NewMultiplier. hybrid is
-	// additionally imported by name for the calibration-cache helpers.
-	"spmspv/internal/hybrid"
-
+	// every Algorithm constructible through NewMultiplier.
 	_ "spmspv/internal/baselines"
 	_ "spmspv/internal/core"
+	_ "spmspv/internal/hybrid"
 )
 
 // Core data types, aliased from the implementation packages so the
@@ -194,9 +192,10 @@ const (
 	// SortBased is the gather–radix-sort–reduce baseline.
 	SortBased = engine.SortBased
 	// Hybrid switches per call between the vector-driven bucket
-	// algorithm and the matrix-driven GraphMat algorithm on input
-	// density (paper §V). The switch point is Options.HybridThreshold;
-	// zero calibrates it from probe multiplies at construction.
+	// algorithm and the matrix-driven GraphMat algorithm (paper §V).
+	// By default a call runs matrix-driven when its flops reach a fixed
+	// multiple of the matrix's nonempty columns; Options.HybridThreshold
+	// pins a density threshold instead.
 	Hybrid = engine.Hybrid
 )
 
@@ -221,12 +220,6 @@ func ParseAlgorithm(name string) (Algorithm, bool) { return engine.Parse(name) }
 // this, so a newly registered engine shows up without touching any
 // flag text.
 func EngineNames() []string { return engine.Names() }
-
-// DefaultCalibrationCachePath returns the conventional on-disk
-// location for the Hybrid engine's calibrated-threshold cache
-// (Options.CalibrationCache), or "" when the platform reports no user
-// cache directory.
-func DefaultCalibrationCachePath() string { return hybrid.DefaultCachePath() }
 
 // FrontierOutputStats reports the process-wide count of list→bitmap
 // conversions performed on engine-produced output frontiers (the
@@ -303,20 +296,17 @@ func WithSortOutput(sorted bool) Option {
 }
 
 // WithHybridThreshold pins the Hybrid engine's direction-switch
-// threshold (zero calibrates at construction, negative pins the
+// threshold (zero keeps the flops cost rule, negative pins the
 // vector-driven side).
 func WithHybridThreshold(th float64) Option {
 	return func(c *multiplierConfig) { c.opt.HybridThreshold = th }
 }
 
-// WithCalibrationCache sets the on-disk calibrated-threshold cache the
-// Hybrid engine consults at construction; recalibrate forces the probe
-// multiplies to re-run even on a cache hit.
-func WithCalibrationCache(path string, recalibrate bool) Option {
-	return func(c *multiplierConfig) {
-		c.opt.CalibrationCache = path
-		c.opt.Recalibrate = recalibrate
-	}
+// WithCalibrationCache is a no-op kept for existing callers: the Hybrid
+// engine's direction switch is a cost rule computed from counts, so
+// there is no timed threshold to calibrate or cache.
+func WithCalibrationCache(string, bool) Option {
+	return func(*multiplierConfig) {}
 }
 
 // NewMultiplier returns a multiplier for a, configured by functional

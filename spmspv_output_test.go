@@ -10,9 +10,9 @@ import (
 	"spmspv/internal/testutil"
 )
 
-// engineOptions builds construction options that avoid hybrid
-// calibration probes (a fixed threshold keeps the property tests fast
-// and deterministic) and never touch the on-disk calibration cache.
+// engineOptions builds construction options that pin the hybrid
+// switch at a density threshold, so the property tests' small inputs
+// reach both of its sides.
 func engineOptions(threads int) spmspv.Options {
 	return spmspv.Options{Threads: threads, SortOutput: true, HybridThreshold: 0.25}
 }

@@ -16,11 +16,10 @@ import (
 // Store is a concurrency-safe registry of named matrices — the unit of
 // service of the spmspv-serve API, in the CombBLAS tradition of
 // long-lived named matrices with cached per-matrix state. Each entry
-// lazily builds and caches ONE Multiplier on first Load: its engine
-// (with the per-matrix preprocessing construction performs) and its
-// calibrated hybrid threshold are then shared by every request against
-// that matrix — the concurrency contract makes the single shared
-// Multiplier the cheap, correct shape.
+// lazily builds and caches ONE Multiplier on first Load: its engine,
+// with the per-matrix preprocessing construction performs, is then
+// shared by every request against that matrix — the concurrency
+// contract makes the single shared Multiplier the cheap, correct shape.
 //
 // A Store is also an Executor: Do resolves Request.Matrix and Run
 // executes programs, so in-process callers and the HTTP server share
@@ -57,15 +56,15 @@ type StoreStat struct {
 	Rows Index  `json:"rows"`
 	Cols Index  `json:"cols"`
 	NNZ  int64  `json:"nnz"`
-	// Built reports whether the multiplier (engine, calibration) has
-	// been constructed yet; Put alone leaves it false.
+	// Built reports whether the multiplier (its engine) has been
+	// constructed yet; Put alone leaves it false.
 	Built bool               `json:"built"`
 	Serve perf.ServeSnapshot `json:"serve"`
 }
 
 // NewStore returns an empty store. opts are the NewMultiplier options
 // applied to every entry's lazily-built multiplier (engine selection,
-// threads, calibration cache...).
+// threads, hybrid threshold...).
 func NewStore(opts ...Option) *Store {
 	return &Store{opts: opts, entries: map[string]*storeEntry{}}
 }
@@ -191,7 +190,7 @@ func (st *Store) load(name string) (*Multiplier, *perf.ServeStats, error) {
 }
 
 // Load returns the cached multiplier for name, building it (engine
-// construction, hybrid calibration) on first use.
+// construction) on first use.
 func (st *Store) Load(name string) (*Multiplier, error) {
 	mu, _, err := st.load(name)
 	return mu, err
